@@ -229,7 +229,7 @@ pub fn simulate_trace(profile: &TraceProfile, horizon: SimTime, seed: u64) -> Tr
 }
 
 /// Replay `profile` against an externally owned [`Simulation`] — the entry
-/// point the scenario sweep runner uses, where each worker thread constructs
+/// point the scenario sweep service uses, where each worker thread constructs
 /// its own engine. Must be called on a fresh simulation (`now == 0`);
 /// determinism follows from the engine's root seed.
 pub fn simulate_trace_in(

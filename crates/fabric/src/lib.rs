@@ -9,7 +9,7 @@
 //! The paper's Fig. 7 compares raw libfabric ping-pong latency (busy-poll and
 //! queue-wait completion) against rFaaS hot/warm invocations; the transports
 //! and completion modes here are calibrated so that comparison can be
-//! regenerated (`bench/src/bin/fig07_latency.rs`).
+//! regenerated (`scenarios report fig07_latency`, from the `bench` crate).
 
 pub mod drc;
 pub mod loggp;

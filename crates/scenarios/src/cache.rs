@@ -1,9 +1,10 @@
 //! Content-addressed sweep memoization: bit-exact `(scenario, params, seed)
 //! → Metrics` persistence that makes repeated sweeps incremental.
 //!
-//! Every sweep job is a pure function of its identity — PR 6 proved the
-//! runner bit-identical to serial regardless of thread count — so a cached
-//! result can substitute for a live run with **zero** observable difference.
+//! Every sweep job is a pure function of its identity — the service's pool
+//! is bit-identical to a serial run regardless of thread count — so a
+//! cached result can substitute for a live run with **zero** observable
+//! difference.
 //! This module cashes that determinism in:
 //!
 //! * [`job_key`] derives a stable 256-bit content hash over the scenario
@@ -11,15 +12,15 @@
 //!   [`Params`] (floats hashed via `to_bits()`, never via `format!`), and
 //!   the seed.
 //! * [`ResultCache`] is the persistent store: a merged index file plus a
-//!   write-ahead directory of per-worker append-only segments. Metrics are
+//!   write-ahead directory of per-request append-only segments. Metrics are
 //!   persisted as hex `f64` bit patterns, so a cache hit round-trips
 //!   [`Metrics::bits_eq`]-identical to the live value — decimal formatting
 //!   never touches the stored floats.
-//! * The sweep runner consults the cache before injecting a job (hits
-//!   bypass the work-stealing pool entirely and record no cost
-//!   observations) and its workers append misses to their own segment —
-//!   the lock-free hot path never serializes on the store. On sweep
-//!   completion the segments are fsync'd and merged into the index.
+//! * The [`Service`](crate::service::Service) consults the cache when a
+//!   request is submitted (hits bypass the work-stealing pool entirely and
+//!   record no cost observations) and its workers append each miss to the
+//!   request's segment. When the request completes, the segment is
+//!   fsync'd and merged into the index.
 //!
 //! A salt change (crate version bump or [`ENGINE_SALT_REV`] bump)
 //! invalidates every prior entry: stale entries are ignored at load and
@@ -27,7 +28,8 @@
 //! current-salt entries only.
 //!
 //! Concurrency model: segment files are uniquely named per (process,
-//! writer), each written by exactly one worker thread, and a commit only
+//! writer), each written through one [`CacheWriter`] (whole-line appends,
+//! serialized by its owner), and a commit only
 //! deletes its own segments (plus segments recovered from a crashed run at
 //! open time). Torn tail lines from a crashed or concurrent writer fail to
 //! parse and are skipped. Two racing commits both re-read the on-disk
@@ -189,7 +191,7 @@ pub struct CacheStats {
 ///
 /// ```text
 /// <dir>/index.v1.log     merged index, one entry per line
-/// <dir>/wal/seg-*.log    per-worker append-only write-ahead segments
+/// <dir>/wal/seg-*.log    per-request append-only write-ahead segments
 /// ```
 ///
 /// Both use the same line format (tab-separated, `\t`/`\n`/`\\` escaped in
@@ -198,7 +200,7 @@ pub struct CacheStats {
 /// ```text
 /// v1 <key> <salt> <scenario> <secs-bits> <n> (<name> <f64-bits>)*n
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
     salt: String,
@@ -331,9 +333,9 @@ impl ResultCache {
         }
     }
 
-    /// Create one append-only WAL segment for a worker thread. Segment
-    /// names are unique per (process, writer), so concurrent sweeps over
-    /// one cache directory never interleave writes within a file.
+    /// Create one append-only WAL segment. Segment names are unique per
+    /// (process, writer), so concurrent sweeps over one cache directory
+    /// never interleave writes within a file.
     pub fn writer(&self) -> Result<CacheWriter, Error> {
         static NEXT_SEGMENT: AtomicU64 = AtomicU64::new(0);
         let id = NEXT_SEGMENT.fetch_add(1, Ordering::Relaxed);
@@ -353,7 +355,7 @@ impl ResultCache {
         })
     }
 
-    /// Sweep-completion barrier: fsync the workers' segments, fold them
+    /// Sweep-completion barrier: fsync the given segments, fold them
     /// (and any other segment currently on disk) into the in-memory map,
     /// rewrite the index atomically (write-temp + rename, fsync'd), and
     /// delete the segments this cache owns. Stale-salt entries never make
@@ -431,10 +433,9 @@ impl ResultCache {
     }
 }
 
-/// One worker's append-only WAL segment. Appends go through `&self` (each
-/// segment is owned by exactly one worker thread; `&File` writes need no
-/// mutable borrow), one `write_all` per entry, so a torn line can only be
-/// the file's tail.
+/// One append-only WAL segment. Appends go through `&self` (`&File` writes
+/// need no mutable borrow), one `write_all` per entry, so a torn line can
+/// only be the file's tail.
 #[derive(Debug)]
 pub struct CacheWriter {
     path: PathBuf,

@@ -1,6 +1,6 @@
 //! Per-job wall-clock cost estimation for deadline-aware job ordering.
 //!
-//! The sweep runner schedules longest-expected-first (LPT): with a work
+//! The sweep service schedules longest-expected-first (LPT): with a work
 //! pool, makespan is minimised by starting the long jobs early so the short
 //! ones pack around them. "Expected" comes from a [`CostTable`] — mean
 //! measured wall-clock per `(scenario, point shape)` — persisted as a flat

@@ -1,7 +1,7 @@
 //! The crate's single error surface.
 //!
 //! Every fallible public operation in `scenarios` — request validation,
-//! sweep execution, the persistent result cache, cost-table I/O, the
+//! the persistent result cache, cost-table I/O, the
 //! what-if service and its wire protocol — reports through [`Error`], so
 //! server responses and CLI exit messages render the same failure the same
 //! way. The enum is `#[non_exhaustive]`: new subsystems add variants
@@ -12,7 +12,6 @@
 //! actionable at the API boundary instead of surfacing as an empty sweep
 //! or a mid-run panic.
 
-use crate::runner::SweepError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -20,9 +19,6 @@ use std::path::PathBuf;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// One or more sweep jobs panicked; every failing `(scenario, point,
-    /// seed)` is named inside.
-    Sweep(SweepError),
     /// A request named a scenario the registry doesn't know.
     UnknownScenario {
         name: String,
@@ -110,7 +106,6 @@ fn join_or_none(names: &[String]) -> String {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Sweep(e) => write!(f, "sweep failed: {e}"),
             Error::UnknownScenario { name, known } => write!(
                 f,
                 "unknown scenario `{name}` (known scenarios: {})",
@@ -149,23 +144,16 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Sweep(e) => Some(e),
             Error::Io { source, .. } => Some(source),
             _ => None,
         }
     }
 }
 
-impl From<SweepError> for Error {
-    fn from(e: SweepError) -> Error {
-        Error::Sweep(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::JobFailure;
+    use crate::runner::{failure_message, JobFailure};
 
     #[test]
     fn validation_errors_name_the_field_and_the_alternatives() {
@@ -196,17 +184,15 @@ mod tests {
 
     #[test]
     fn sweep_errors_keep_their_per_job_identity() {
-        let sweep = SweepError {
-            failures: vec![JobFailure {
-                scenario: "fig01".into(),
-                point: "k=2".into(),
-                seed: 7,
-                message: "boom".into(),
-            }],
-        };
-        let e: Error = sweep.into();
+        let message = failure_message(vec![JobFailure {
+            scenario: "fig01".into(),
+            point: "k=2".into(),
+            seed: 7,
+            message: "boom".into(),
+        }]);
+        let e = Error::RequestFailed { id: 3, message };
         let text = e.to_string();
-        assert!(text.contains("scenario `fig01` point `k=2` seed 7"));
-        assert!(std::error::Error::source(&e).is_some());
+        assert!(text.contains("request 3 failed"));
+        assert!(text.contains("scenario `fig01` point `k=2` seed 7: boom"));
     }
 }

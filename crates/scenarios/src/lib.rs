@@ -1,23 +1,34 @@
-//! # scenarios — unified scenario engine and parallel multi-seed sweep runner
+//! # scenarios — unified scenario engine and the what-if sweep service
 //!
 //! Every figure/table experiment of the paper's evaluation is expressed as a
 //! [`Scenario`]: a named, parameterised computation that runs against a
 //! deterministic [`des::Simulation`] and returns scalar [`Metrics`]. The
-//! [`registry::Registry`] knows every scenario; the [`runner::SweepRunner`]
-//! fans a cartesian [`SweepGrid`] × N seeds across `std::thread` workers
-//! (each worker owns its own `Simulation`, so results are bit-identical to a
-//! serial run) and merges the per-seed metrics into mean/p50/p99 aggregates
-//! with confidence intervals, ready for JSON emission.
+//! [`registry::Registry`] knows every scenario. A [`SweepRequest`] names
+//! scenarios, a cartesian grid and a seed count; the [`Service`] runs it on
+//! its persistent work-stealing pool (each job owns its own `Simulation`,
+//! so results are bit-identical to a serial run), optionally memoized by
+//! the [`ResultCache`], and merges the per-seed metrics into mean/p50/p99
+//! aggregates with confidence intervals, ready for JSON emission. The CLI,
+//! the TCP [`Server`] and in-process callers all submit to the same
+//! `Service`.
 //!
 //! ```
-//! use scenarios::{registry::Registry, runner::SweepRunner, SweepGrid};
+//! use scenarios::{JobOrder, Registry, Service, ServiceConfig, SweepRequest};
 //!
-//! let registry = Registry::standard();
-//! let scenario = registry.get("tab03_idle_node").unwrap();
-//! let runner = SweepRunner::new(2, SweepRunner::seeds(3));
-//! let result = runner.run(scenario, &SweepGrid::new());
-//! assert_eq!(result.points.len(), 1);
-//! assert_eq!(result.points[0].per_seed.len(), 3);
+//! let run = |threads: usize, request: &SweepRequest| {
+//!     let config = ServiceConfig::new().with_threads(threads);
+//!     let service = Service::start(Registry::standard(), config).unwrap();
+//!     let id = service.submit(request).unwrap().id;
+//!     service.wait(id).unwrap();
+//!     service.results(id).unwrap()
+//! };
+//! let request = SweepRequest::new().scenario("tab03_idle_node").with_seeds(3);
+//! let parallel = run(2, &request);
+//! assert_eq!(parallel[0].points.len(), 1);
+//! assert_eq!(parallel[0].points[0].per_seed.len(), 3);
+//!
+//! let serial = run(1, &request.with_order(JobOrder::Input));
+//! assert!(parallel[0].bits_eq(&serial[0]), "parallel == serial, bit for bit");
 //! ```
 
 pub mod cache;
@@ -42,9 +53,7 @@ pub use metrics::{summarize, MetricSummary, Metrics};
 pub use params::{ParamValue, Params, SweepGrid};
 pub use registry::Registry;
 pub use request::{SweepRequest, SweepResponse, SweepStatus, ValidatedSweep, REQUEST_VERSION};
-pub use runner::{
-    JobFailure, JobOrder, PointResult, SweepError, SweepResult, SweepRunner, SweepSuite,
-};
+pub use runner::{JobOrder, PointResult, SweepResult, SweepSuite};
 pub use server::Server;
 pub use service::{Service, ServiceConfig, Submission};
 pub use wire::{Client, SubmitReceipt};
@@ -78,8 +87,8 @@ pub trait Scenario: Send + Sync {
     fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics;
 
     /// Print the full paper-style report (tables, comparisons, shape
-    /// assertions) for a single default-parameter run — what the legacy
-    /// `fig*`/`tab*` binaries do. The default implementation prints the
+    /// assertions) for a single default-parameter run — what `scenarios
+    /// report <name>` prints. The default implementation prints the
     /// metric map; ported scenarios override it with their original output.
     fn report(&self) {
         report::banner(self.name(), self.title());

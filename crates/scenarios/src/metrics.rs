@@ -1,7 +1,7 @@
 //! Scenario metrics and their cross-seed aggregation.
 //!
 //! Each scenario run over one `(parameter point, seed)` pair produces a
-//! [`Metrics`]: an ordered map of named scalars. The sweep runner folds the
+//! [`Metrics`]: an ordered map of named scalars. The sweep service folds the
 //! per-seed metrics of a point into [`MetricSummary`] aggregates built on
 //! [`des::stats`] — mean/std via Welford, exact p50/p99, and a normal-theory
 //! 95% confidence half-width.

@@ -66,7 +66,7 @@ impl Registry {
         self.items.is_empty()
     }
 
-    /// Print the paper-style report of one scenario (legacy binary path).
+    /// Print the paper-style report of one scenario (`scenarios report`).
     /// Returns `false` if the name is unknown.
     #[must_use]
     pub fn report(&self, name: &str) -> bool {

@@ -137,7 +137,7 @@ impl SweepRequest {
     /// Check the request against a registry, resolving every target and
     /// axis. Errors name the offending field and the known-good
     /// alternatives; on success the returned [`ValidatedSweep`] carries
-    /// per-scenario grids ready for the runner.
+    /// per-scenario grids ready for the service.
     pub fn validate(&self, registry: &Registry) -> Result<ValidatedSweep, Error> {
         if self.version != REQUEST_VERSION {
             return Err(Error::invalid(
@@ -226,7 +226,7 @@ impl SweepRequest {
             tasks.push((name.clone(), grid));
         }
 
-        let seeds = crate::runner::SweepRunner::seeds(self.seeds);
+        let seeds = report_seeds(self.seeds);
         let total_jobs = tasks
             .iter()
             .map(|(name, grid)| {
@@ -513,6 +513,12 @@ impl Serialize for SweepResponse {
         }
         Value::Map(fields)
     }
+}
+
+/// The seed list of an `n`-seed request: `REPORT_SEED, REPORT_SEED+1, …`,
+/// so one seed reproduces the single-run paper reports exactly.
+fn report_seeds(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|i| crate::REPORT_SEED + i).collect()
 }
 
 fn reject_non_finite(field: &str, v: &ParamValue) -> Result<(), Error> {

@@ -1,47 +1,27 @@
-//! Work-stealing, deadline-aware parallel sweep runner.
+//! The sweep job space: what a request expands to, and how finished jobs
+//! fold back into results.
 //!
-//! A sweep is the cartesian product of a [`SweepGrid`] and a seed list —
-//! or, for [`SweepRunner::run_suite`], the union of several scenarios'
-//! sweeps in one shared pool. Jobs are ordered longest-expected-first
-//! (LPT, using the [`CostTable`]'s measured wall-clocks with a size
-//! heuristic as cold-start fallback), injected into a global
-//! [`crossbeam::deque::Injector`], and executed by workers that grab
-//! batches into per-worker Chase–Lev deques and steal from siblings when
-//! dry — so one long job never pins a worker while short jobs queue
-//! behind it.
+//! A sweep is the cartesian product of each scenario's grid points
+//! ([`SweepGrid`](crate::params::SweepGrid)) and a seed list. Expansion
+//! numbers every `(scenario, point, seed)` job with a result slot in
+//! task-major, point-major, seed-minor order; the
+//! [`Service`](crate::service::Service) worker pool then runs the jobs in
+//! whatever order its [`JobOrder`] and work stealing produce.
+//! Each job writes its [`Metrics`] into its own slot of a write-once
+//! buffer, and aggregation walks the slots in order, so the merged
+//! statistics — and the rendered artifact — never depend on which worker
+//! ran what, or when.
 //!
-//! Scheduling never touches results: each worker constructs its own
-//! [`Simulation`] per `(point, seed)` job, so the metrics of every job are
-//! bit-identical to a serial (`threads = 1`) run whatever the thread count,
-//! job order, or steal interleaving. Results are written into per-job slots
-//! of a lock-free buffer (each slot written by exactly the one worker that
-//! executed the job) and aggregated in seed order, keeping the merged
-//! statistics deterministic too.
-//!
-//! A job that panics no longer takes the sweep's bookkeeping down with it:
-//! the panic is caught per job and surfaced through [`SweepError`], naming
-//! the `(scenario, point, seed)` identity of every failed job.
-//!
-//! With a [`ResultCache`] attached ([`SweepRunner::with_cache`]) the same
-//! purity buys memoization: jobs whose content hash is already stored are
-//! served bit-exactly from the cache before anything reaches the injector
-//! — no pool traffic, no cost-table observation — and every miss is
-//! appended to its worker's write-ahead segment, merged into the
-//! persistent index when the sweep completes. The emitted artifact is
-//! byte-identical cached or not; only the wall-clock changes.
+//! Jobs are pure functions of `(params, seed)`: each one builds its own
+//! [`des::Simulation`], so a pool of any width is bit-identical to a
+//! serial (`threads = 1`, [`JobOrder::Input`]) run, and a cached result is
+//! indistinguishable from a live one.
 
-use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
-use crate::cost::CostTable;
 use crate::metrics::{summarize, MetricSummary, Metrics};
-use crate::params::{Params, SweepGrid};
-use crate::Scenario;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use des::Simulation;
+use crate::params::Params;
 use serde::Serialize;
 use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::fmt::Write;
 
 /// All runs of one parameter point: the per-seed metrics plus aggregates.
 #[derive(Debug, Clone, Serialize)]
@@ -80,11 +60,13 @@ impl SweepSuite {
     }
 }
 
-/// How the runner orders jobs before injecting them into the pool.
+/// How the service orders a request's jobs before injecting them into the
+/// pool. Never observable in the results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobOrder {
-    /// Longest-expected-first by [`CostTable`] estimate (LPT scheduling);
-    /// ties broken by input position so the order is fully deterministic.
+    /// Longest-expected-first by [`CostTable`](crate::cost::CostTable)
+    /// estimate (LPT scheduling); ties broken by input position so the
+    /// order is fully deterministic.
     #[default]
     Cost,
     /// The natural input order: task-major, point-major, seed-minor.
@@ -104,49 +86,44 @@ impl JobOrder {
 
 /// One failed `(scenario, point, seed)` job.
 #[derive(Debug, Clone)]
-pub struct JobFailure {
-    pub scenario: String,
-    pub point: String,
-    pub seed: u64,
-    pub message: String,
+pub(crate) struct JobFailure {
+    pub(crate) scenario: String,
+    pub(crate) point: String,
+    pub(crate) seed: u64,
+    pub(crate) message: String,
 }
 
-/// One or more sweep jobs panicked. The sweep's surviving results are
-/// discarded — partial artifacts would silently skew aggregates — but every
-/// failing job is named, so the offending `(scenario, point, seed)` can be
-/// replayed directly.
-#[derive(Debug, Clone)]
-pub struct SweepError {
-    pub failures: Vec<JobFailure>,
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{} sweep job(s) panicked:", self.failures.len())?;
-        for j in &self.failures {
-            writeln!(
-                f,
-                "  - scenario `{}` point `{}` seed {}: {}",
-                j.scenario, j.point, j.seed, j.message
-            )?;
-        }
-        Ok(())
+/// A failed request's message: the count, then one line per failed job in
+/// `(scenario, point, seed)` order however the pool interleaved them, so
+/// the offending job can be replayed directly. The surviving results are
+/// discarded — partial artifacts would silently skew aggregates.
+pub(crate) fn failure_message(mut failures: Vec<JobFailure>) -> String {
+    failures.sort_by(|a, b| (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed)));
+    let mut text = format!("{} sweep job(s) panicked:\n", failures.len());
+    for j in &failures {
+        let _ = writeln!(
+            text,
+            "  - scenario `{}` point `{}` seed {}: {}",
+            j.scenario, j.point, j.seed, j.message
+        );
     }
+    text
 }
-
-impl std::error::Error for SweepError {}
 
 /// Slot-indexed, write-once result storage shared by the worker pool.
 ///
 /// Each job id owns exactly one slot, and the deques hand each job to
-/// exactly one worker, so writes are disjoint by construction; the scoped
-/// thread join orders every write before collection. That invariant is what
-/// lets results land without a mutex per slot — and what keeps the output
-/// independent of who executed what.
+/// exactly one worker, so writes are disjoint by construction. That
+/// invariant is what lets results land without a mutex per slot — and
+/// what keeps the output independent of who executed what.
 pub(crate) struct SlotBuffer<T> {
     slots: Vec<UnsafeCell<Option<T>>>,
 }
 
+// SAFETY: the only shared-reference access to `slots` is `put` and
+// `take_vec`, whose contracts give each slot one writer and order every
+// write before the single drain; values written on one thread are taken on
+// another, hence `T: Send`.
 unsafe impl<T: Send> Sync for SlotBuffer<T> {}
 
 impl<T> SlotBuffer<T> {
@@ -157,20 +134,15 @@ impl<T> SlotBuffer<T> {
     }
 
     /// # Safety
-    /// At most one thread may ever call this per index, and all calls must
-    /// happen-before [`SlotBuffer::into_vec`] / [`SlotBuffer::take_vec`]
-    /// (a pool join, or an acquire of a release made after the write).
+    /// At most one thread may ever call this per index, and every call
+    /// must happen-before [`SlotBuffer::take_vec`] (an acquire of a release
+    /// made after the write).
     pub(crate) unsafe fn put(&self, index: usize, value: T) {
         *self.slots[index].get() = Some(value);
     }
 
-    pub(crate) fn into_vec(self) -> Vec<Option<T>> {
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-
-    /// Drain every slot through a shared reference — the finalization path
-    /// for buffers living inside an `Arc` (the what-if service's persistent
-    /// pool can't consume the buffer by value the way a scoped run can).
+    /// Drain every slot through a shared reference: the buffer lives inside
+    /// the request's `Arc`, which the pool's jobs still hold.
     ///
     /// # Safety
     /// Exactly one thread may call this, exactly once, and every
@@ -195,9 +167,8 @@ pub(crate) struct Job {
 }
 
 /// Expand per-task point lists × seeds into jobs with consecutive global
-/// slots in task-major, point-major, seed-minor order — the slot layout
-/// both the CLI runner and the service's pool share (it is what makes
-/// their artifacts interchangeable).
+/// slots in task-major, point-major, seed-minor order — the layout that
+/// aggregation (and therefore the artifact) follows whatever the run order.
 pub(crate) fn expand_jobs(points: &[Vec<Params>], n_seeds: usize) -> Vec<Job> {
     let mut jobs: Vec<Job> = Vec::new();
     for (task, task_points) in points.iter().enumerate() {
@@ -226,8 +197,7 @@ pub(crate) fn sort_jobs_lpt(jobs: &mut [Job], estimates: &[Vec<f64>]) {
 }
 
 /// Fold slot-ordered metrics back into per-scenario results: task, point,
-/// seed — the injection/execution order never shows up here. Shared by the
-/// scoped runner and the service finalizer, so both aggregate identically.
+/// seed — the injection/execution order never shows up here.
 pub(crate) fn aggregate_results(
     names: &[&str],
     points: Vec<Vec<Params>>,
@@ -268,319 +238,6 @@ pub(crate) fn aggregate_results(
     results
 }
 
-/// Fans `grid × seeds` jobs across work-stealing worker threads.
-#[derive(Debug)]
-pub struct SweepRunner {
-    threads: usize,
-    seeds: Vec<u64>,
-    order: JobOrder,
-    /// Prior costs driving the LPT order (typically loaded from CI's
-    /// persisted timing artifact).
-    costs: CostTable,
-    /// Wall-clocks measured by this runner's own jobs, accumulated across
-    /// `run` calls — the next run's (or next CI round's) prior. Cache hits
-    /// never contribute: a hit costs microseconds, and folding it in would
-    /// drag the LPT prior for that point shape toward zero.
-    observed: Mutex<CostTable>,
-    /// Memoized `(scenario, params, seed) → Metrics` store. Consulted
-    /// before jobs are injected — hits bypass the pool entirely — and fed
-    /// by workers' write-ahead segments on miss.
-    cache: Option<Mutex<ResultCache>>,
-}
-
-impl Clone for SweepRunner {
-    fn clone(&self) -> Self {
-        SweepRunner {
-            threads: self.threads,
-            seeds: self.seeds.clone(),
-            order: self.order,
-            costs: self.costs.clone(),
-            observed: Mutex::new(self.observed.lock().unwrap().clone()),
-            cache: self
-                .cache
-                .as_ref()
-                .map(|c| Mutex::new(c.lock().unwrap().clone())),
-        }
-    }
-}
-
-impl SweepRunner {
-    /// `threads` is clamped to at least one; `seeds` must be non-empty.
-    pub fn new(threads: usize, seeds: Vec<u64>) -> Self {
-        assert!(!seeds.is_empty(), "a sweep needs at least one seed");
-        SweepRunner {
-            threads: threads.max(1),
-            seeds,
-            order: JobOrder::default(),
-            costs: CostTable::new(),
-            observed: Mutex::new(CostTable::new()),
-            cache: None,
-        }
-    }
-
-    /// The default seed sequence: `REPORT_SEED, REPORT_SEED+1, …` so one
-    /// seed reproduces the legacy single-run reports exactly.
-    pub fn seeds(n: usize) -> Vec<u64> {
-        (0..n.max(1) as u64)
-            .map(|i| crate::REPORT_SEED + i)
-            .collect()
-    }
-
-    /// Choose the injection order (default: [`JobOrder::Cost`]).
-    pub fn with_order(mut self, order: JobOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Supply prior wall-clock measurements for the LPT order.
-    pub fn with_cost_table(mut self, costs: CostTable) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// Attach a persistent result cache: jobs whose `(scenario, params,
-    /// seed)` content hash is already stored are served bit-exactly from
-    /// it instead of simulated, and every miss is persisted on completion.
-    pub fn with_cache(mut self, cache: ResultCache) -> Self {
-        self.cache = Some(Mutex::new(cache));
-        self
-    }
-
-    /// Hit/miss/saved-wall-clock counters of the attached cache, if any.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.lock().unwrap().stats())
-    }
-
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// The wall-clocks this runner has measured so far (all `run`/
-    /// `run_suite` calls on this instance), keyed like the prior table —
-    /// persist with [`CostTable::save`] to feed the next run's ordering.
-    pub fn observed_costs(&self) -> CostTable {
-        self.observed.lock().unwrap().clone()
-    }
-
-    /// Run `scenario` over every `(grid point, seed)` combination.
-    /// Panics (with every failing job named) if any job panics; use
-    /// [`SweepRunner::try_run`] to handle failures programmatically.
-    pub fn run(&self, scenario: &dyn Scenario, grid: &SweepGrid) -> SweepResult {
-        self.try_run(scenario, grid)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SweepRunner::run`].
-    pub fn try_run(
-        &self,
-        scenario: &dyn Scenario,
-        grid: &SweepGrid,
-    ) -> Result<SweepResult, SweepError> {
-        let mut results = self.try_run_suite(&[(scenario, grid.clone())])?;
-        Ok(results.pop().expect("one task in, one result out"))
-    }
-
-    /// Run several scenarios' sweeps through one shared work pool, so short
-    /// scenarios pack around long ones instead of queueing behind a
-    /// per-scenario barrier. Results come back in task order.
-    pub fn run_suite(&self, tasks: &[(&dyn Scenario, SweepGrid)]) -> Vec<SweepResult> {
-        self.try_run_suite(tasks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SweepRunner::run_suite`].
-    pub fn try_run_suite(
-        &self,
-        tasks: &[(&dyn Scenario, SweepGrid)],
-    ) -> Result<Vec<SweepResult>, SweepError> {
-        let n_seeds = self.seeds.len();
-
-        // Expand every task's grid; jobs get consecutive global slots in
-        // task-major, point-major, seed-minor order.
-        let points: Vec<Vec<Params>> = tasks
-            .iter()
-            .map(|(s, g)| g.points(&s.default_params()))
-            .collect();
-        let mut jobs = expand_jobs(&points, n_seeds);
-        let n_jobs = jobs.len();
-        let slots: SlotBuffer<Metrics> = SlotBuffer::new(n_jobs);
-
-        // Memoization pre-scan: hits are written straight into their
-        // result slot and never reach the injector, the cost estimates, or
-        // the observed-cost table — only genuine misses become pool jobs.
-        let mut cache = self.cache.as_ref().map(|c| c.lock().unwrap());
-        let mut keys: Vec<Option<CacheKey>> = Vec::new();
-        if let Some(cache) = cache.as_deref_mut() {
-            keys.resize(n_jobs, None);
-            let mut misses = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                let (scenario, _) = &tasks[job.task];
-                let params = &points[job.task][job.point];
-                let key = cache::job_key(
-                    cache.salt(),
-                    scenario.name(),
-                    params,
-                    self.seeds[job.seed_idx],
-                );
-                match cache.lookup(&key) {
-                    // SAFETY: the pre-scan runs on this thread before any
-                    // worker exists, each slot is visited at most once
-                    // here, and hit slots are never handed to the pool —
-                    // the write-once contract holds.
-                    Some(metrics) => unsafe { slots.put(job.slot, metrics) },
-                    None => {
-                        keys[job.slot] = Some(key);
-                        misses.push(job);
-                    }
-                }
-            }
-            jobs = misses;
-        }
-
-        // Deadline-aware ordering: estimate each point once, then inject
-        // longest-expected-first. Estimates steer only the start order —
-        // results are slot-indexed, so the artifact cannot observe them.
-        if self.order == JobOrder::Cost {
-            let estimates: Vec<Vec<f64>> = tasks
-                .iter()
-                .zip(&points)
-                .map(|((s, _), pts)| {
-                    pts.iter()
-                        .map(|p| self.costs.estimate(s.name(), p))
-                        .collect()
-                })
-                .collect();
-            sort_jobs_lpt(&mut jobs, &estimates);
-        }
-
-        let injector = Injector::new();
-        for job in &jobs {
-            injector.push(*job);
-        }
-
-        let threads = self.threads.min(jobs.len().max(1));
-        let workers: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = workers.iter().map(Worker::stealer).collect();
-        let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-        let timings: Mutex<CostTable> = Mutex::new(CostTable::new());
-
-        // Misses persist through per-worker write-ahead segments: each
-        // worker owns one append-only file, so the lock-free hot path
-        // never serializes on the store. A cache I/O failure is a real
-        // error (a CI warm run silently degrading to 0% hits must not
-        // pass), hence the loud panic.
-        let writers: Option<Vec<CacheWriter>> = cache.as_deref().map(|c| {
-            (0..threads)
-                .map(|_| c.writer())
-                .collect::<Result<Vec<_>, crate::error::Error>>()
-                .unwrap_or_else(|e| panic!("sweep cache: {e}"))
-        });
-
-        let run_worker = |widx: usize, local: Worker<Job>| {
-            let mut observed = CostTable::new();
-            // The canonical crossbeam find-task loop: local deque first,
-            // then a batch from the injector, then steal from siblings;
-            // repeat while anything reports Retry.
-            let find_task = || {
-                local.pop().or_else(|| {
-                    std::iter::repeat_with(|| {
-                        injector
-                            .steal_batch_and_pop(&local)
-                            .or_else(|| stealers.iter().map(Stealer::steal).collect())
-                    })
-                    .find(|s: &Steal<Job>| !s.is_retry())
-                    .and_then(Steal::success)
-                })
-            };
-            while let Some(job) = find_task() {
-                let (scenario, _) = &tasks[job.task];
-                let params = &points[job.task][job.point];
-                let seed = self.seeds[job.seed_idx];
-                let started = Instant::now();
-                // A panicking scenario must not poison shared state or lose
-                // its identity: catch it here and report (scenario, point,
-                // seed). AssertUnwindSafe is sound because a failed sweep
-                // discards all results (no broken invariant is ever read).
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut sim = Simulation::new(seed);
-                    scenario.run(&mut sim, params)
-                }));
-                match outcome {
-                    Ok(metrics) => {
-                        let elapsed = started.elapsed().as_secs_f64();
-                        observed.record(&CostTable::key(scenario.name(), params), elapsed);
-                        if let Some(writers) = &writers {
-                            let key = keys[job.slot].expect("every pool job missed the cache");
-                            writers[widx]
-                                .append(&key, scenario.name(), elapsed, &metrics)
-                                .unwrap_or_else(|e| panic!("sweep cache: {e}"));
-                        }
-                        // SAFETY: `job.slot` is unique per job and the deque
-                        // delivered this job to exactly this worker; the
-                        // scope join below sequences the write before
-                        // `into_vec`.
-                        unsafe { slots.put(job.slot, metrics) };
-                    }
-                    Err(payload) => failures.lock().unwrap().push(JobFailure {
-                        scenario: scenario.name().to_string(),
-                        point: params.label(),
-                        seed,
-                        message: panic_message(payload.as_ref()),
-                    }),
-                }
-            }
-            timings.lock().unwrap().merge(&observed);
-        };
-
-        let mut workers = workers.into_iter();
-        if threads <= 1 {
-            run_worker(0, workers.next().expect("one worker"));
-        } else {
-            let run_worker = &run_worker;
-            std::thread::scope(|scope| {
-                for (widx, local) in workers.enumerate() {
-                    scope.spawn(move || run_worker(widx, local));
-                }
-            });
-        }
-
-        self.observed
-            .lock()
-            .unwrap()
-            .merge(&timings.into_inner().unwrap());
-
-        let mut failures = failures.into_inner().unwrap();
-        if !failures.is_empty() {
-            // Deterministic report order however the pool interleaved.
-            // The cache commit is skipped: the workers' write-ahead
-            // segments stay on disk and are recovered at the next open, so
-            // the surviving jobs' results aren't lost either.
-            failures.sort_by(|a, b| {
-                (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed))
-            });
-            return Err(SweepError { failures });
-        }
-
-        // Sweep completion: fsync the per-worker segments and merge them
-        // into the cache index, garbage-collecting stale-salt entries.
-        if let Some(cache) = cache.as_deref_mut() {
-            let writers = writers.expect("an attached cache always has writers");
-            cache
-                .commit(writers)
-                .unwrap_or_else(|e| panic!("sweep cache: {e}"));
-        }
-
-        // Collect slot-major: task, point, seed — the injection order never
-        // shows up here.
-        let names: Vec<&str> = tasks.iter().map(|(s, _)| s.name()).collect();
-        Ok(aggregate_results(
-            &names,
-            points,
-            &self.seeds,
-            slots.into_vec(),
-        ))
-    }
-}
-
 /// Best-effort text of a panic payload (panics carry `&str` or `String`
 /// unless thrown with `panic_any`).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -614,7 +271,12 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::SweepGrid;
+    use crate::cost::CostTable;
+    use crate::registry::Registry;
+    use crate::request::{SweepRequest, SweepStatus};
+    use crate::service::{Service, ServiceConfig};
+    use crate::Scenario;
+    use des::Simulation;
 
     /// A scenario whose metrics encode (param, seed) so slot routing bugs
     /// would be visible immediately.
@@ -639,38 +301,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slot_buffer_disjoint_writes_from_threads() {
-        // The SlotBuffer safety contract, reduced to its essentials so Miri
-        // can interpret it directly (the full sweep tests are too heavy):
-        // disjoint per-thread writes, join, then collect — every write must
-        // be visible and land in its own slot.
-        let buf = SlotBuffer::<usize>::new(16);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let buf = &buf;
-                scope.spawn(move || {
-                    for i in (t..16).step_by(4) {
-                        // SAFETY: each index is written by exactly one
-                        // thread (i ≡ t mod 4), and the scope join orders
-                        // all writes before into_vec below.
-                        unsafe { buf.put(i, i * 10) };
-                    }
-                });
-            }
-        });
-        let got = buf.into_vec();
-        for (i, v) in got.into_iter().enumerate() {
-            assert_eq!(v, Some(i * 10));
+    fn registry(scenario: impl Scenario + 'static) -> Registry {
+        let mut registry = Registry::new();
+        registry.register(Box::new(scenario));
+        registry
+    }
+
+    /// Run one request to completion on a fresh service: its per-scenario
+    /// results, or its failure message.
+    fn sweep(
+        registry: Registry,
+        config: ServiceConfig,
+        request: &SweepRequest,
+    ) -> Result<Vec<SweepResult>, String> {
+        let service = Service::start(registry, config).expect("service starts");
+        let id = service.submit(request).expect("valid request").id;
+        match service.wait(id).expect("known id").status {
+            SweepStatus::Done => Ok(service.results(id).expect("done request has results")),
+            SweepStatus::Failed { message } => Err(message),
+            other => panic!("unexpected terminal status {other}"),
         }
+    }
+
+    fn threads(n: usize) -> ServiceConfig {
+        ServiceConfig::new().with_threads(n)
+    }
+
+    /// The serial reference: one worker, natural job order.
+    fn serial(registry: Registry, request: &SweepRequest) -> Vec<SweepResult> {
+        let request = request.clone().with_order(JobOrder::Input);
+        sweep(registry, threads(1), &request).expect("serial sweep succeeds")
+    }
+
+    fn bits_eq(a: &[SweepResult], b: &[SweepResult]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
     }
 
     #[test]
     fn slot_buffer_disjoint_writes_from_threads_then_take_vec() {
-        // The service-finalizer variant of the contract above: writers
-        // publish with a release fetch_sub, the last decrementer acquires
-        // and drains through &self — exactly the what-if service's
-        // finalization protocol, reduced for Miri.
+        // The SlotBuffer safety contract, reduced to its essentials so Miri
+        // can interpret it directly (the full sweep tests are too heavy):
+        // writers publish with a release fetch_sub, the last decrementer
+        // acquires and drains through &self — exactly the service's
+        // finalization protocol.
         use std::sync::atomic::{AtomicUsize, Ordering};
         let buf = SlotBuffer::<usize>::new(16);
         let remaining = AtomicUsize::new(16);
@@ -704,14 +377,17 @@ mod tests {
 
     #[test]
     fn jobs_land_in_their_slots() {
-        let runner = SweepRunner::new(3, vec![7, 8]);
-        let grid = SweepGrid::new().axis("k", vec![10u64, 20, 30]);
-        let result = runner.run(&Probe, &grid);
-        assert_eq!(result.points.len(), 3);
-        for (pi, point) in result.points.iter().enumerate() {
+        let request = SweepRequest::new()
+            .scenario("probe")
+            .axis("k", vec![10u64, 20, 30])
+            .with_seeds(2);
+        let result = sweep(registry(Probe), threads(3), &request).expect("sweep succeeds");
+        let points = &result[0].points;
+        assert_eq!(points.len(), 3);
+        for (pi, point) in points.iter().enumerate() {
             assert_eq!(point.params.u64("k", 0), 10 * (pi as u64 + 1));
             assert_eq!(point.per_seed.len(), 2);
-            for ((seed, m), expect) in point.per_seed.iter().zip([7u64, 8]) {
+            for ((seed, m), expect) in point.per_seed.iter().zip([42u64, 43]) {
                 assert_eq!(*seed, expect);
                 assert_eq!(m.get("seed"), Some(expect as f64));
                 assert_eq!(m.get("k"), Some(point.params.f64("k", 0.0)));
@@ -721,27 +397,35 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bitwise() {
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3, 4, 5]);
-        let serial = SweepRunner::new(1, vec![1, 2, 3]).run(&Probe, &grid);
-        let parallel = SweepRunner::new(4, vec![1, 2, 3]).run(&Probe, &grid);
-        assert!(serial.bits_eq(&parallel));
+        let request = SweepRequest::new()
+            .scenario("probe")
+            .axis("k", vec![1u64, 2, 3, 4, 5])
+            .with_seeds(3);
+        let serial = serial(registry(Probe), &request);
+        let parallel = sweep(registry(Probe), threads(4), &request).expect("sweep succeeds");
+        assert!(bits_eq(&serial, &parallel));
     }
 
     #[test]
     fn job_order_cannot_influence_results() {
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3, 4]);
+        let request = SweepRequest::new()
+            .scenario("probe")
+            .axis("k", vec![1u64, 2, 3, 4])
+            .with_seeds(2);
         let mut prior = CostTable::new();
         // A deliberately *wrong* prior (claims k=1 is the longest job):
         // ordering may be misled, results must not be.
         prior.record("probe|k=1", 100.0);
         prior.record("probe|k=4", 0.001);
-        let cost = SweepRunner::new(3, vec![1, 2])
-            .with_cost_table(prior)
-            .run(&Probe, &grid);
-        let input = SweepRunner::new(3, vec![1, 2])
-            .with_order(JobOrder::Input)
-            .run(&Probe, &grid);
-        assert!(cost.bits_eq(&input));
+        let cost = sweep(registry(Probe), threads(3).with_cost_table(prior), &request)
+            .expect("cost-ordered sweep succeeds");
+        let input = sweep(
+            registry(Probe),
+            threads(3),
+            &request.clone().with_order(JobOrder::Input),
+        )
+        .expect("input-ordered sweep succeeds");
+        assert!(bits_eq(&cost, &input));
     }
 
     #[test]
@@ -764,21 +448,42 @@ mod tests {
                 m
             }
         }
-        let grid1 = SweepGrid::new().axis("k", vec![1u64, 2]);
-        let grid2 = SweepGrid::new();
-        let runner = SweepRunner::new(4, vec![3, 4]);
-        let suite = runner.run_suite(&[(&Probe, grid1.clone()), (&Probe2, grid2.clone())]);
+        let both = || {
+            let mut registry = registry(Probe);
+            registry.register(Box::new(Probe2));
+            registry
+        };
+        let suite_request = SweepRequest::new()
+            .scenario("probe")
+            .scenario("probe2")
+            .axis("k", vec![1u64, 2])
+            .lenient()
+            .with_seeds(2);
+        let suite = sweep(both(), threads(4), &suite_request).expect("suite succeeds");
         assert_eq!(suite.len(), 2);
-        let solo1 = SweepRunner::new(1, vec![3, 4]).run(&Probe, &grid1);
-        let solo2 = SweepRunner::new(1, vec![3, 4]).run(&Probe2, &grid2);
-        assert!(suite[0].bits_eq(&solo1), "suite result order is task order");
-        assert!(suite[1].bits_eq(&solo2));
+        let solo1 = serial(
+            both(),
+            &SweepRequest::new()
+                .scenario("probe")
+                .axis("k", vec![1u64, 2])
+                .with_seeds(2),
+        );
+        let solo2 = serial(
+            both(),
+            &SweepRequest::new().scenario("probe2").with_seeds(2),
+        );
+        assert!(
+            suite[0].bits_eq(&solo1[0]),
+            "suite result order is task order"
+        );
+        assert!(suite[1].bits_eq(&solo2[0]));
     }
 
     #[test]
     fn summaries_cover_all_seeds() {
-        let result = SweepRunner::new(2, vec![1, 2, 3, 4]).run(&Probe, &SweepGrid::new());
-        let (_, draw) = result.points[0]
+        let request = SweepRequest::new().scenario("probe").with_seeds(4);
+        let result = sweep(registry(Probe), threads(2), &request).expect("sweep succeeds");
+        let (_, draw) = result[0].points[0]
             .summary
             .iter()
             .find(|(n, _)| n == "draw")
@@ -789,16 +494,29 @@ mod tests {
 
     #[test]
     fn default_seed_sequence_starts_at_report_seed() {
-        assert_eq!(SweepRunner::seeds(3), vec![42, 43, 44]);
-        assert_eq!(SweepRunner::seeds(0), vec![42], "clamped to one seed");
+        for (n, expect) in [(3, vec![42, 43, 44]), (1, vec![42])] {
+            let request = SweepRequest::new().scenario("probe").with_seeds(n);
+            let result = sweep(registry(Probe), threads(2), &request).expect("sweep succeeds");
+            assert_eq!(result[0].seeds, expect);
+            let ran: Vec<u64> = result[0].points[0]
+                .per_seed
+                .iter()
+                .map(|(s, _)| *s)
+                .collect();
+            assert_eq!(ran, expect, "every seed ran, in seed order");
+        }
     }
 
     #[test]
     fn observed_costs_accumulate_per_point_shape() {
-        let runner = SweepRunner::new(2, vec![1, 2, 3]);
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2]);
-        runner.run(&Probe, &grid);
-        let observed = runner.observed_costs();
+        let service = Service::start(registry(Probe), threads(2)).expect("service starts");
+        let request = SweepRequest::new()
+            .scenario("probe")
+            .axis("k", vec![1u64, 2])
+            .with_seeds(3);
+        let id = service.submit(&request).expect("valid request").id;
+        service.wait(id).expect("known id");
+        let observed = service.observed_costs();
         for key in ["probe|k=1", "probe|k=2"] {
             let mean = observed.mean_secs(key).expect("key measured");
             assert!(mean >= 0.0 && mean.is_finite(), "{key}: {mean}");
@@ -813,14 +531,14 @@ mod tests {
             "grenade"
         }
         fn title(&self) -> &'static str {
-            "panics on k=2, seed 8"
+            "panics on k=2, seed 43"
         }
         fn default_params(&self) -> Params {
             Params::new().with("k", 1u64)
         }
         fn run(&self, sim: &mut Simulation, params: &Params) -> Metrics {
             assert!(
-                !(params.u64("k", 0) == 2 && sim.seed() == 8),
+                !(params.u64("k", 0) == 2 && sim.seed() == 43),
                 "simulated scenario bug"
             );
             Metrics::new()
@@ -829,23 +547,21 @@ mod tests {
 
     #[test]
     fn panicking_job_reports_its_identity() {
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3]);
-        for threads in [1, 4] {
-            let err = SweepRunner::new(threads, vec![7, 8])
-                .try_run(&Grenade, &grid)
-                .expect_err("the k=2/seed=8 job panics");
-            assert_eq!(err.failures.len(), 1, "threads={threads}");
-            let j = &err.failures[0];
-            assert_eq!(j.scenario, "grenade");
-            assert_eq!(j.point, "k=2");
-            assert_eq!(j.seed, 8);
+        let request = SweepRequest::new()
+            .scenario("grenade")
+            .axis("k", vec![1u64, 2, 3])
+            .with_seeds(2);
+        for n in [1, 4] {
+            let message =
+                sweep(registry(Grenade), threads(n), &request).expect_err("k=2/seed=43 panics");
             assert!(
-                j.message.contains("simulated scenario bug"),
-                "{}",
-                j.message
+                message.starts_with("1 sweep job(s) panicked:"),
+                "threads={n}: {message}"
             );
-            let display = err.to_string();
-            assert!(display.contains("scenario `grenade` point `k=2` seed 8"));
+            assert!(
+                message.contains("scenario `grenade` point `k=2` seed 43: simulated scenario bug"),
+                "threads={n}: {message}"
+            );
         }
     }
 
@@ -853,12 +569,17 @@ mod tests {
     fn surviving_jobs_do_not_mask_the_failure() {
         // Every other job completes; the one grenade must still fail the
         // sweep (partial artifacts would silently skew aggregates) and the
-        // error must name exactly the failing job.
-        let grid = SweepGrid::new().axis("k", vec![2u64]);
-        let err = SweepRunner::new(2, vec![7, 8, 9])
-            .try_run(&Grenade, &grid)
-            .expect_err("seed 8 panics");
-        assert_eq!(err.failures.len(), 1);
-        assert_eq!(err.failures[0].seed, 8);
+        // message must name exactly the failing job.
+        let request = SweepRequest::new()
+            .scenario("grenade")
+            .axis("k", vec![2u64])
+            .with_seeds(3);
+        let message = sweep(registry(Grenade), threads(2), &request).expect_err("seed 43 panics");
+        assert!(message.starts_with("1 sweep job(s) panicked:"), "{message}");
+        assert!(message.contains("seed 43"), "{message}");
+        assert!(
+            !message.contains("seed 42") && !message.contains("seed 44"),
+            "{message}"
+        );
     }
 }

@@ -1,15 +1,15 @@
 //! The long-running "what-if" sweep service: a persistent worker pool plus
 //! an in-process request registry, serving concurrent [`SweepRequest`]s.
 //!
-//! This is the serving half of the ROADMAP's sharded what-if item (the
-//! memoization half is [`crate::cache`]). One [`Service`] owns:
+//! This is the crate's one sweep executor: the CLI's `run`, the TCP
+//! [`Server`](crate::server::Server), the examples and the tests all submit
+//! here, and `worker_loop` is the only code that runs a sweep job. One
+//! [`Service`] owns:
 //!
-//! * **A persistent work-stealing pool** — the same Chase–Lev machinery the
-//!   scoped [`crate::runner::SweepRunner`] uses (shared
-//!   [`Injector`], per-worker deques, sibling stealing), but with workers
-//!   that outlive any one request, parking on a condvar when the queue
-//!   runs dry. Jobs from every live request flow through the one shared
-//!   FIFO injector.
+//! * **A persistent work-stealing pool** — a shared FIFO [`Injector`],
+//!   per-worker Chase–Lev deques and sibling stealing, with workers that
+//!   outlive any one request, parking on a condvar when the queue runs
+//!   dry. Jobs from every live request flow through the one injector.
 //! * **Fair interleaving** — each request keeps at most `threads` jobs in
 //!   the pool at once (its *window*); completing a job refills the next
 //!   pending one at the injector's tail. A long request therefore owns at
@@ -19,10 +19,10 @@
 //!   pin down.
 //! * **The cache fast path** — submissions are pre-scanned against the
 //!   shared [`ResultCache`]; hits are written straight into their result
-//!   slot and never touch the pool. An all-hit request finalizes inline at
-//!   submit. Misses append to a per-request WAL segment that commits into
-//!   the same index the CLI uses, so server and CLI stay mutually
-//!   incremental.
+//!   slot and never touch the pool or the cost table. An all-hit request
+//!   finalizes inline at submit. Misses append to a per-request WAL segment
+//!   that commits into the index when the request completes, so every
+//!   service over one cache directory stays mutually incremental.
 //! * **A metadata plane** — every request gets an id and a
 //!   [`SweepStatus`] lifecycle (queued → running(n/m) → done / failed /
 //!   cancelled) queryable via [`Service::status`] / [`Service::list`],
@@ -30,17 +30,21 @@
 //!   Identical in-flight requests are deduplicated: the second submit
 //!   returns the first's id instead of doubling the work.
 //!
-//! Results are bit-identical to the CLI path by construction: the same
-//! slot-indexed write-once buffers, the same task-major/point-major/
-//! seed-minor slot layout, the same aggregation — and the artifact is
-//! rendered once, server-side, with [`SweepSuite::artifact_json`] and
-//! shipped as text verbatim.
+//! Results are bit-identical whatever the pool width or job order: jobs
+//! write slot-indexed, write-once buffers laid out task-major/point-major/
+//! seed-minor, and aggregation walks them in that order (see
+//! [`crate::runner`]). The artifact is rendered once, server-side, with
+//! [`SweepSuite::artifact_json`] and shipped as text verbatim.
+//!
+//! Failure is per request, never per pool: a panicking job, a panic while
+//! aggregating or rendering, or a cache write/commit error ends its request
+//! `Failed` with the cause, and the worker thread carries on.
 //!
 //! Memory ordering of finalization: each worker publishes its slot writes
 //! with an `AcqRel` `fetch_sub` on the request's `remaining` counter; the
 //! thread that observes the count hit zero acquires every decrement in the
 //! release sequence, so all slot writes happen-before the finalizer's
-//! [`SlotBuffer::take_vec`]. The submit-time cache-hit writes are ordered
+//! `SlotBuffer::take_vec`. The submit-time cache-hit writes are ordered
 //! before any worker runs via the injector push (release) → steal
 //! (acquire) chain, inductively through refills.
 
@@ -52,8 +56,8 @@ use crate::params::Params;
 use crate::registry::Registry;
 use crate::request::{SweepRequest, SweepResponse, SweepStatus, ValidatedSweep};
 use crate::runner::{
-    aggregate_results, expand_jobs, sort_jobs_lpt, Job, JobFailure, JobOrder, SlotBuffer,
-    SweepError, SweepResult, SweepSuite,
+    aggregate_results, expand_jobs, failure_message, panic_message, sort_jobs_lpt, Job, JobFailure,
+    JobOrder, SlotBuffer, SweepResult, SweepSuite,
 };
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use des::Simulation;
@@ -329,43 +333,46 @@ impl Service {
 
         // In-flight dedup: the map only ever holds non-terminal requests
         // (finalization removes the entry), so a match means live work we
-        // can share rather than repeat. Holding the lock across the check
-        // prevents two racing identical submits from both missing.
-        {
-            let dedup = inner.dedup.lock().unwrap();
-            if let Some(&id) = dedup.get(&dedup_key) {
-                if let Some(sweep) = inner.requests.lock().unwrap().get(&id) {
-                    return Ok(Submission {
-                        id,
-                        status: sweep.status(),
-                        warnings: validated.warnings,
-                        total_jobs: sweep.total_jobs,
-                        cache_hits: sweep.cache_hits,
-                        deduped: true,
-                    });
-                }
-            }
+        // can share rather than repeat. The lock is held from the check
+        // until the new request is registered, so two racing identical
+        // submits can never both miss.
+        let mut dedup = inner.dedup.lock().unwrap();
+        if let Some(&id) = dedup.get(&dedup_key) {
+            let requests = inner.requests.lock().unwrap();
+            let sweep = requests
+                .get(&id)
+                .expect("dedup entries are registered requests");
+            return Ok(Submission {
+                id,
+                status: sweep.status(),
+                warnings: validated.warnings,
+                total_jobs: sweep.total_jobs,
+                cache_hits: sweep.cache_hits,
+                deduped: true,
+            });
         }
 
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let sweep = self.build_sweep(id, &validated, dedup_key)?;
-        let status = sweep.status();
-        let cache_hits = sweep.cache_hits;
-        let total_jobs = sweep.total_jobs;
-        let terminal = status.is_terminal();
-
+        let all_hit = sweep.remaining.load(Ordering::Relaxed) == 0;
         inner
             .requests
             .lock()
             .unwrap()
             .insert(id, Arc::clone(&sweep));
         inner.order.lock().unwrap().push(id);
-        if !terminal {
-            inner
-                .dedup
-                .lock()
-                .unwrap()
-                .insert(sweep.dedup_key.clone(), id);
+        if !all_hit {
+            dedup.insert(sweep.dedup_key.clone(), id);
+        }
+        drop(dedup);
+
+        if all_hit {
+            // Every job was a cache hit: finalize inline, entirely on the
+            // submit thread — the pool never hears about this request.
+            finalize(inner, &sweep);
+        }
+        let status = sweep.status();
+        if !all_hit {
             // Open the request's window: the first `threads` jobs go into
             // the shared FIFO; the rest follow one-per-completion.
             let window: Vec<Job> = {
@@ -385,8 +392,8 @@ impl Service {
             id,
             status,
             warnings: validated.warnings,
-            total_jobs,
-            cache_hits,
+            total_jobs: sweep.total_jobs,
+            cache_hits: sweep.cache_hits,
             deduped: false,
         })
     }
@@ -416,9 +423,9 @@ impl Service {
         let slots = SlotBuffer::new(n_jobs);
         let mut keys: Vec<Option<CacheKey>> = vec![None; n_jobs];
 
-        // Cache pre-scan, same contract as the runner's: hits land in
-        // their slots here on the submit thread (no worker exists for this
-        // sweep yet) and never reach the pool.
+        // Cache pre-scan: hits land in their slots here on the submit
+        // thread (no worker exists for this sweep yet) and never reach the
+        // pool, the cost estimates, or the observed-cost table.
         let mut cache_hits = 0;
         if let Some(cache) = &inner.cache {
             let mut cache = cache.lock().unwrap();
@@ -460,7 +467,7 @@ impl Service {
             _ => None,
         };
 
-        let sweep = Arc::new(ActiveSweep {
+        Ok(Arc::new(ActiveSweep {
             id,
             names,
             points,
@@ -478,13 +485,7 @@ impl Service {
             state: Mutex::new(Terminal::Pending),
             done_cond: Condvar::new(),
             dedup_key,
-        });
-        if sweep.remaining.load(Ordering::Relaxed) == 0 {
-            // Every job was a cache hit: finalize inline, entirely on the
-            // submit thread — the pool never hears about this request.
-            finalize(inner, &sweep);
-        }
-        Ok(sweep)
+        }))
     }
 
     fn get(&self, id: u64) -> Result<Arc<ActiveSweep>, Error> {
@@ -573,8 +574,10 @@ impl Service {
         self.inner.cache.as_ref().map(|c| c.lock().unwrap().stats())
     }
 
-    /// Wall-clocks measured by this service's own jobs — the `--costs-out`
-    /// table, same keying as [`crate::runner::SweepRunner::observed_costs`].
+    /// Wall-clocks measured by this service's own jobs, keyed like the
+    /// prior table — the `--costs-out` table. Cache hits never contribute:
+    /// a hit costs microseconds, and folding it in would drag the LPT prior
+    /// for that point shape toward zero.
     pub fn observed_costs(&self) -> CostTable {
         self.inner.observed.lock().unwrap().clone()
     }
@@ -653,8 +656,9 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
         let params = &sweep.points[job.task][job.point];
         let seed = sweep.seeds[job.seed_idx];
         let started = Instant::now();
-        // Same per-job panic isolation as the runner: a panicking scenario
-        // fails its request, never the pool.
+        // A panicking scenario fails its request, never the pool.
+        // AssertUnwindSafe is sound because a failed request discards all
+        // of its results (no broken invariant is ever read).
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut sim = Simulation::new(seed);
             scenario.run(&mut sim, params)
@@ -689,7 +693,7 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
                 scenario: scenario.name().to_string(),
                 point: params.label(),
                 seed,
-                message: crate::runner::panic_message(payload.as_ref()),
+                message: panic_message(payload.as_ref()),
             }),
         }
     }
@@ -715,37 +719,45 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
 /// Called exactly once per request — by the last decrementer of
 /// `remaining` (a worker, the canceller, or the submit thread for all-hit
 /// requests).
+///
+/// Every non-`Done` outcome leaves the WAL segment uncommitted: whatever
+/// misses did complete stay on disk and are recovered at the next cache
+/// open.
 fn finalize(inner: &Inner, sweep: &ActiveSweep) {
     let failures = std::mem::take(&mut *sweep.failures.lock().unwrap());
     let terminal = if sweep.cancelled.load(Ordering::Acquire) {
-        // The WAL segment is deliberately not committed: whatever misses
-        // did complete stay on disk and are recovered at the next cache
-        // open, same as the runner's failure path.
         Terminal::Cancelled
     } else if !failures.is_empty() {
-        let mut failures = failures;
-        failures
-            .sort_by(|a, b| (&a.scenario, &a.point, a.seed).cmp(&(&b.scenario, &b.point, b.seed)));
         Terminal::Failed {
-            message: SweepError { failures }.to_string(),
+            message: failure_message(failures),
         }
     } else {
-        // SAFETY: remaining hit zero and we are its observer — every slot
-        // write (workers' puts via the AcqRel release sequence, submit-time
-        // hit puts via the injector push/steal chain or, for all-hit
-        // sweeps, program order) happens-before this drain.
-        let slot_values = unsafe { sweep.slots.take_vec() };
-        let names: Vec<&str> = sweep.names.iter().map(String::as_str).collect();
-        let results = aggregate_results(&names, sweep.points.clone(), &sweep.seeds, slot_values);
-        let suite = SweepSuite {
-            seeds: sweep.seeds.clone(),
-            results,
-        };
-        let artifact = suite.artifact_json();
-        let results = suite.results;
-        match (&inner.cache, sweep.writer.lock().unwrap().take()) {
-            (Some(cache), Some(writer)) => {
-                match cache.lock().unwrap().commit(vec![writer]) {
+        // Aggregation and rendering run on a pool (or submit) thread, so a
+        // panic here — a NaN metric reaching the percentile sort, say —
+        // must fail this request rather than kill the thread and leave the
+        // request pending forever.
+        let rendered = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: remaining hit zero and we are its observer — every
+            // slot write (workers' puts via the AcqRel release sequence,
+            // submit-time hit puts via the injector push/steal chain or,
+            // for all-hit sweeps, program order) happens-before this drain.
+            let slot_values = unsafe { sweep.slots.take_vec() };
+            let names: Vec<&str> = sweep.names.iter().map(String::as_str).collect();
+            let suite = SweepSuite {
+                seeds: sweep.seeds.clone(),
+                results: aggregate_results(&names, sweep.points.clone(), &sweep.seeds, slot_values),
+            };
+            (suite.artifact_json(), suite.results)
+        }));
+        match rendered {
+            Err(payload) => Terminal::Failed {
+                message: format!(
+                    "aggregating results panicked: {}",
+                    panic_message(payload.as_ref())
+                ),
+            },
+            Ok((artifact, results)) => match (&inner.cache, sweep.writer.lock().unwrap().take()) {
+                (Some(cache), Some(writer)) => match cache.lock().unwrap().commit(vec![writer]) {
                     Ok(()) => Terminal::Done { artifact, results },
                     // A cache that can't commit is a real failure (a warm
                     // CI run silently degrading to 0% hits must not pass),
@@ -753,13 +765,16 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep) {
                     Err(e) => Terminal::Failed {
                         message: format!("sweep cache commit failed: {e}"),
                     },
-                }
-            }
-            _ => Terminal::Done { artifact, results },
+                },
+                _ => Terminal::Done { artifact, results },
+            },
         }
     };
 
+    // Leave the dedup map before publishing: a waiter woken below may
+    // resubmit the same request at once, and it must start fresh work
+    // rather than coalesce onto this finished one.
+    inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
     *sweep.state.lock().unwrap() = terminal;
     sweep.done_cond.notify_all();
-    inner.dedup.lock().unwrap().remove(&sweep.dedup_key);
 }

@@ -158,7 +158,6 @@ impl Verb {
 /// error reply next to the human-readable message.
 pub fn error_kind(error: &Error) -> &'static str {
     match error {
-        Error::Sweep(_) => "sweep",
         Error::UnknownScenario { .. } => "unknown_scenario",
         Error::UnknownAxis { .. } => "unknown_axis",
         Error::InvalidRequest { .. } => "invalid_request",
@@ -172,7 +171,6 @@ pub fn error_kind(error: &Error) -> &'static str {
         Error::Server { kind, .. } => {
             // Forwarding a remote error keeps its original tag when known.
             match kind.as_str() {
-                "sweep" => "sweep",
                 "unknown_scenario" => "unknown_scenario",
                 "unknown_axis" => "unknown_axis",
                 "invalid_request" => "invalid_request",

@@ -7,9 +7,10 @@
 
 use proptest::prelude::*;
 use scenarios::{
-    engine_salt, job_key, Metrics, Params, ResultCache, Scenario, SweepGrid, SweepRunner,
+    engine_salt, job_key, CacheStats, CostTable, JobOrder, Metrics, ParamValue, Params, Registry,
+    ResultCache, Scenario, Service, ServiceConfig, SweepRequest, SweepResult, SweepStatus,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fresh per-test cache directory under cargo's integration-test tmpdir.
@@ -55,27 +56,119 @@ impl Scenario for Probe {
     }
 }
 
-fn grid() -> SweepGrid {
-    SweepGrid::new().axis("k", vec![1u64, 2, 3])
+/// The probe's 3-point request: `k ∈ {1, 2, 3}` at `seeds` seeds
+/// (`42, 43, …`).
+fn request(seeds: usize) -> SweepRequest {
+    SweepRequest::new()
+        .scenario("cache_probe")
+        .axis("k", vec![1u64, 2, 3])
+        .with_seeds(seeds)
+}
+
+fn registry(scenario: impl Scenario + 'static) -> Registry {
+    let mut registry = Registry::new();
+    registry.register(Box::new(scenario));
+    registry
+}
+
+/// What one service run left behind: its results, its cache counters and
+/// the wall-clocks it measured.
+struct Run {
+    results: Vec<SweepResult>,
+    stats: Option<CacheStats>,
+    observed: CostTable,
+}
+
+/// Run `request` to completion on a fresh service (with the cache at
+/// `dir`, when given). Errs with the failure message.
+fn run_on(
+    registry: Registry,
+    threads: usize,
+    dir: Option<&Path>,
+    request: &SweepRequest,
+) -> Result<Run, String> {
+    let mut config = ServiceConfig::new().with_threads(threads);
+    if let Some(dir) = dir {
+        config = config.with_cache_dir(dir);
+    }
+    let service = Service::start(registry, config).expect("service starts");
+    let id = service.submit(request).expect("valid request").id;
+    match service.wait(id).expect("known id").status {
+        SweepStatus::Done => Ok(Run {
+            results: service.results(id).expect("done request has results"),
+            stats: service.cache_stats(),
+            observed: service.observed_costs(),
+        }),
+        SweepStatus::Failed { message } => Err(message),
+        other => panic!("unexpected terminal status {other}"),
+    }
+}
+
+fn cached(threads: usize, dir: &Path, request: &SweepRequest) -> Run {
+    run_on(registry(Probe), threads, Some(dir), request).expect("cached sweep succeeds")
+}
+
+/// The uncached serial reference: one worker, natural job order.
+fn serial(request: &SweepRequest) -> SweepResult {
+    let request = request.clone().with_order(JobOrder::Input);
+    let mut run = run_on(registry(Probe), 1, None, &request).expect("serial sweep succeeds");
+    run.results.pop().expect("one scenario")
+}
+
+/// Populate the cache at `dir` under `salt` directly — the one store
+/// `ServiceConfig` cannot reach — with every job of `request`, computed by
+/// running the probe on a fresh simulation. Returns the store's counters
+/// after the commit.
+fn populate(dir: &Path, salt: &str, request: &SweepRequest) -> CacheStats {
+    let mut cache = ResultCache::open_with_salt(dir, salt).expect("open");
+    let writer = cache.writer().expect("segment");
+    for_each_job(request, |params, seed| {
+        let metrics = Probe.run(&mut des::Simulation::new(seed), params);
+        let key = job_key(salt, "cache_probe", params, seed);
+        writer
+            .append(&key, "cache_probe", 0.0, &metrics)
+            .expect("append");
+    });
+    cache.commit(vec![writer]).expect("commit");
+    cache.stats()
+}
+
+/// Visit every `(params, seed)` job of a probe request in input order.
+fn for_each_job(request: &SweepRequest, mut visit: impl FnMut(&Params, u64)) {
+    let registry = registry(Probe);
+    let validated = request.validate(&registry).expect("valid request");
+    for (scenario, grid) in validated.resolve(&registry) {
+        for params in grid.points(&scenario.default_params()) {
+            for &seed in &validated.seeds {
+                visit(&params, seed);
+            }
+        }
+    }
+}
+
+/// Look every job of `request` up under `salt`, returning the store's
+/// counters afterwards.
+fn lookup_all(dir: &Path, salt: &str, request: &SweepRequest) -> CacheStats {
+    let mut cache = ResultCache::open_with_salt(dir, salt).expect("open");
+    for_each_job(request, |params, seed| {
+        cache.lookup(&job_key(salt, "cache_probe", params, seed));
+    });
+    cache.stats()
 }
 
 #[test]
 fn warm_sweep_is_bit_identical_and_fully_cache_served() {
     let dir = cache_dir("roundtrip");
-    let seeds = vec![42, 43];
+    let request = request(2);
 
-    let cold_runner = SweepRunner::new(4, seeds.clone())
-        .with_cache(ResultCache::open(&dir).expect("open cold cache"));
-    let cold = cold_runner.run(&Probe, &grid());
-    let cold_stats = cold_runner.cache_stats().expect("cache attached");
+    let cold = cached(4, &dir, &request);
+    let cold_stats = cold.stats.expect("cache attached");
     assert_eq!(cold_stats.hits, 0);
     assert_eq!(cold_stats.misses, 6, "3 points x 2 seeds all simulated");
     assert_eq!(cold_stats.entries, 6, "every miss persisted at commit");
 
-    let warm_runner = SweepRunner::new(4, seeds.clone())
-        .with_cache(ResultCache::open(&dir).expect("open warm cache"));
-    let warm = warm_runner.run(&Probe, &grid());
-    let warm_stats = warm_runner.cache_stats().expect("cache attached");
+    let warm = cached(4, &dir, &request);
+    let warm_stats = warm.stats.expect("cache attached");
     assert_eq!(warm_stats.hits, 6, "warm run must be 100% cache-served");
     assert_eq!(warm_stats.misses, 0);
     assert!(
@@ -85,10 +178,12 @@ fn warm_sweep_is_bit_identical_and_fully_cache_served() {
 
     // The acceptance bar: cache-served results are bit-exact to live ones,
     // so the emitted artifact cannot tell the difference.
-    assert!(warm.bits_eq(&cold), "cached sweep diverged from live sweep");
-    let live = SweepRunner::new(1, seeds).run(&Probe, &grid());
     assert!(
-        live.bits_eq(&warm),
+        warm.results[0].bits_eq(&cold.results[0]),
+        "cached sweep diverged from live sweep"
+    );
+    assert!(
+        serial(&request).bits_eq(&warm.results[0]),
         "cached sweep diverged from serial live"
     );
 }
@@ -96,16 +191,13 @@ fn warm_sweep_is_bit_identical_and_fully_cache_served() {
 #[test]
 fn every_cached_metric_round_trips_bits_exactly() {
     let dir = cache_dir("bits");
-    let seeds = vec![7, 8, 9];
-    let runner =
-        SweepRunner::new(2, seeds.clone()).with_cache(ResultCache::open(&dir).expect("open"));
-    let live = runner.run(&Probe, &grid());
+    let live = cached(2, &dir, &request(3)).results;
 
     // Reopen from disk and look every (point, seed) job up directly: the
     // stored metrics must be bits_eq to the live ones, metric by metric.
     let mut cache = ResultCache::open(&dir).expect("reopen");
     let salt = cache.salt().to_string();
-    for point in &live.points {
+    for point in &live[0].points {
         for (seed, live_metrics) in &point.per_seed {
             let key = job_key(&salt, "cache_probe", &point.params, *seed);
             let cached = cache.lookup(&key).unwrap_or_else(|| {
@@ -126,50 +218,42 @@ fn every_cached_metric_round_trips_bits_exactly() {
 #[test]
 fn cache_hits_record_no_cost_observations() {
     let dir = cache_dir("costs");
-    let seeds = vec![42, 43];
+    let request = request(2);
 
-    let cold =
-        SweepRunner::new(2, seeds.clone()).with_cache(ResultCache::open(&dir).expect("open cold"));
-    cold.run(&Probe, &grid());
+    let cold = cached(2, &dir, &request);
     assert!(
-        !cold.observed_costs().is_empty(),
+        !cold.observed.is_empty(),
         "cold run measures every point shape"
     );
 
     // The warm run executes nothing, so it must observe nothing: cache
     // hits would otherwise drag the CI-refreshed LPT cost table toward
     // zero and wreck longest-expected-first ordering.
-    let warm = SweepRunner::new(2, seeds).with_cache(ResultCache::open(&dir).expect("open warm"));
-    warm.run(&Probe, &grid());
+    let warm = cached(2, &dir, &request);
     assert!(
-        warm.observed_costs().is_empty(),
+        warm.observed.is_empty(),
         "a fully cache-served sweep recorded cost observations: {:?}",
-        warm.observed_costs()
+        warm.observed
     );
-    assert_eq!(warm.cache_stats().expect("stats").misses, 0);
+    assert_eq!(warm.stats.expect("stats").misses, 0);
 }
 
 #[test]
 fn salt_bump_invalidates_every_entry_and_garbage_collects() {
     let dir = cache_dir("salt");
-    let seeds = vec![1, 2];
+    let request = request(2);
     let n_jobs = 6;
 
-    let v1 = SweepRunner::new(2, seeds.clone())
-        .with_cache(ResultCache::open_with_salt(&dir, "engine-v1").expect("open v1"));
-    v1.run(&Probe, &grid());
-    assert_eq!(v1.cache_stats().expect("stats").entries, n_jobs);
+    assert_eq!(populate(&dir, "engine-v1", &request).entries, n_jobs);
 
     // Same tree, bumped salt: every prior entry is ignored (full miss)...
-    let v2 = SweepRunner::new(2, seeds.clone())
-        .with_cache(ResultCache::open_with_salt(&dir, "engine-v2").expect("open v2"));
-    v2.run(&Probe, &grid());
-    let stats = v2.cache_stats().expect("stats");
+    let stats = lookup_all(&dir, "engine-v2", &request);
     assert_eq!(stats.hits, 0, "salt bump must invalidate every entry");
     assert_eq!(stats.misses, n_jobs);
     assert_eq!(stats.stale_dropped, n_jobs, "old entries seen and skipped");
 
     // ...and the commit's index rewrite garbage-collects them.
+    populate(&dir, "engine-v2", &request);
     let index = std::fs::read_to_string(dir.join("index.v1.log")).expect("index");
     assert!(
         !index.contains("engine-v1"),
@@ -185,7 +269,7 @@ fn salt_bump_invalidates_every_entry_and_garbage_collects() {
 #[test]
 fn warm_cache_survives_bit_identical_engine_changes() {
     // The inverse contract of the salt-bump tests: an internal refactor
-    // that provably keeps simulation outputs bit-identical (PR 9's indexed
+    // that provably keeps simulation outputs bit-identical (the indexed
     // scheduler: oracle property tests + an unchanged ci/trace_reference
     // artifact) ships with NO salt change, and caches populated before the
     // change keep hitting after it. The literal string below is the salt as
@@ -201,17 +285,12 @@ fn warm_cache_survives_bit_identical_engine_changes() {
     );
 
     let dir = cache_dir("warmsurvives");
-    let seeds = vec![21, 22];
+    let request = request(2);
     // Populate the store under the pinned pre-change salt...
-    let old = SweepRunner::new(2, seeds.clone())
-        .with_cache(ResultCache::open_with_salt(&dir, pre_change_salt).expect("open pinned"));
-    old.run(&Probe, &grid());
-    assert_eq!(old.cache_stats().expect("stats").entries, 6);
+    assert_eq!(populate(&dir, pre_change_salt, &request).entries, 6);
 
     // ...and re-sweep under the wired engine_salt(): every entry must hit.
-    let new = SweepRunner::new(2, seeds).with_cache(ResultCache::open(&dir).expect("open current"));
-    new.run(&Probe, &grid());
-    let stats = new.cache_stats().expect("stats");
+    let stats = cached(2, &dir, &request).stats.expect("stats");
     assert_eq!(stats.hits, 6, "pre-change entries must survive the upgrade");
     assert_eq!(stats.misses, 0);
     assert_eq!(stats.stale_dropped, 0, "nothing may be treated as stale");
@@ -223,17 +302,11 @@ fn engine_salt_bump_misses_against_a_real_version_salt() {
     // once the salt gains a suffix — exactly what a des/cluster/scenarios
     // version bump or an ENGINE_SALT_REV bump does.
     let dir = cache_dir("realsalt");
-    let seeds = vec![5];
-    let current = SweepRunner::new(1, seeds.clone())
-        .with_cache(ResultCache::open(&dir).expect("open current"));
-    current.run(&Probe, &grid());
-    assert_eq!(current.cache_stats().expect("stats").entries, 3);
+    let request = request(1);
+    assert_eq!(cached(1, &dir, &request).stats.expect("stats").entries, 3);
 
     let bumped_salt = format!("{}+semantics-changed", engine_salt());
-    let bumped = SweepRunner::new(1, seeds)
-        .with_cache(ResultCache::open_with_salt(&dir, &bumped_salt).expect("open bumped"));
-    bumped.run(&Probe, &grid());
-    let stats = bumped.cache_stats().expect("stats");
+    let stats = lookup_all(&dir, &bumped_salt, &request);
     assert_eq!(stats.hits, 0, "version-salt bump must force a full miss");
     assert_eq!(stats.misses, 3);
 }
@@ -258,14 +331,21 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
             m
         }
     }
+    let grenade = |ks: Vec<u64>| {
+        SweepRequest::new()
+            .scenario("cache_grenade")
+            .axis("k", ks)
+            .with_seeds(1)
+    };
 
     let dir = cache_dir("failure");
-    let failing = SweepRunner::new(2, vec![1]).with_cache(ResultCache::open(&dir).expect("open"));
-    failing
-        .try_run(&Grenade, &SweepGrid::new().axis("k", vec![1u64, 2, 3]))
-        .expect_err("k=2 panics");
+    let message = run_on(registry(Grenade), 2, Some(&dir), &grenade(vec![1, 2, 3]))
+        .err()
+        .expect("k=2 panics");
+    assert!(message.contains("point `k=2`"), "{message}");
     // No commit happened: the index holds nothing yet, but the surviving
-    // jobs' WAL segments are recovered at the next open.
+    // jobs' WAL segment is recovered at the next open.
+    assert!(!dir.join("index.v1.log").exists(), "failed sweep committed");
     let recovered = ResultCache::open(&dir).expect("reopen");
     assert_eq!(
         recovered.len(),
@@ -274,9 +354,9 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
     );
 
     // The recovered entries serve a successful follow-up sweep's hits.
-    let retry = SweepRunner::new(2, vec![1]).with_cache(recovered);
-    retry.run(&Grenade, &SweepGrid::new().axis("k", vec![1u64, 3]));
-    let stats = retry.cache_stats().expect("stats");
+    let retry =
+        run_on(registry(Grenade), 2, Some(&dir), &grenade(vec![1, 3])).expect("retry succeeds");
+    let stats = retry.stats.expect("stats");
     assert_eq!(stats.hits, 2);
     assert_eq!(stats.misses, 0);
 }
@@ -284,41 +364,36 @@ fn failed_sweeps_leave_recoverable_segments_not_a_corrupt_index() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Two sweeps over the same job set race on one cache directory across
-    /// 2–8 worker threads each. Whatever the interleaving: both emit
+    /// Two services over the same job set race on one cache directory
+    /// across 2–8 worker threads each. Whatever the interleaving: both emit
     /// bit-identical results to serial, and the merged index ends up with
     /// exactly one well-formed line per job — no torn writes, no
     /// duplicates.
     #[test]
     fn concurrent_sweeps_never_tear_or_duplicate_cache_entries(
-        seed_base in 0u64..100_000,
+        x in 1u64..100_000,
         threads_a in 2usize..9,
         threads_b in 2usize..9,
     ) {
         let dir = cache_dir("concurrent");
-        let seeds: Vec<u64> = vec![seed_base, seed_base + 1];
-        let grid = SweepGrid::new().axis("k", vec![1u64, 2, 3, 4]);
+        // `x` stands in for the seed list a request cannot vary: each case
+        // sweeps different job contents.
+        let request = SweepRequest::new()
+            .scenario("cache_probe")
+            .axis("k", vec![1u64, 2, 3, 4])
+            .param("x", ParamValue::F64(x as f64 / 1000.0))
+            .with_seeds(2);
         let n_jobs = 8usize;
 
-        let serial = SweepRunner::new(1, seeds.clone()).run(&Probe, &grid);
+        let serial = serial(&request);
 
         let (res_a, res_b) = std::thread::scope(|scope| {
-            let run = |threads: usize| {
-                let dir = dir.clone();
-                let seeds = seeds.clone();
-                let grid = grid.clone();
-                move || {
-                    SweepRunner::new(threads, seeds)
-                        .with_cache(ResultCache::open(&dir).expect("open"))
-                        .run(&Probe, &grid)
-                }
-            };
-            let a = scope.spawn(run(threads_a));
-            let b = scope.spawn(run(threads_b));
+            let a = scope.spawn(|| cached(threads_a, &dir, &request));
+            let b = scope.spawn(|| cached(threads_b, &dir, &request));
             (a.join().expect("sweep a"), b.join().expect("sweep b"))
         });
-        prop_assert!(res_a.bits_eq(&serial), "racing sweep A diverged");
-        prop_assert!(res_b.bits_eq(&serial), "racing sweep B diverged");
+        prop_assert!(res_a.results[0].bits_eq(&serial), "racing sweep A diverged");
+        prop_assert!(res_b.results[0].bits_eq(&serial), "racing sweep B diverged");
 
         // The committed index: one parseable line per job, every key unique.
         let index = std::fs::read_to_string(dir.join("index.v1.log")).expect("index");
@@ -336,10 +411,9 @@ proptest! {
 
         // And the racing runs' combined WAL must leave nothing behind that
         // a warm sweep cannot serve: a third run is fully cache-served.
-        let warm = SweepRunner::new(4, seeds).with_cache(reloaded);
-        let warm_result = warm.run(&Probe, &grid);
-        prop_assert!(warm_result.bits_eq(&serial));
-        let stats = warm.cache_stats().expect("stats");
+        let warm = cached(4, &dir, &request);
+        prop_assert!(warm.results[0].bits_eq(&serial));
+        let stats = warm.stats.expect("stats");
         prop_assert_eq!(stats.misses, 0, "warm run after the race must fully hit");
     }
 }

@@ -1,18 +1,20 @@
 //! In-process contract of the what-if sweep service: artifacts bit-identical
-//! to the direct runner path, warm re-submits served entirely from the
+//! to a serial input-order run, warm re-submits served entirely from the
 //! cache without touching the pool, identical in-flight requests coalesced
-//! onto one id, cancellation dropping pending work promptly, and — the
-//! head-of-line guarantee — a short request completing while a long one is
-//! still running on a saturated pool.
+//! onto one id (and never onto a finished one), cancellation dropping
+//! pending work promptly, failures — in a job or in aggregation — ending
+//! the request rather than hanging it, and — the head-of-line guarantee —
+//! a short request completing while a long one is still running on a
+//! saturated pool.
 
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::{
-    Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepRunner, SweepStatus,
-    SweepSuite,
+    JobOrder, Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepResponse,
+    SweepStatus,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Fresh per-test cache directory under cargo's integration-test tmpdir.
 fn cache_dir(tag: &str) -> PathBuf {
@@ -77,18 +79,18 @@ fn service_artifact_is_bit_identical_to_runner() {
         .lenient()
         .with_seeds(2);
 
-    // Direct runner path, exactly as the CLI ran before the service.
-    let registry = Registry::standard();
-    let validated = request.validate(&registry).expect("valid request");
-    let runner = SweepRunner::new(2, validated.seeds.clone());
-    let results = runner
-        .try_run_suite(&validated.resolve(&registry))
-        .expect("runner sweep succeeds");
-    let direct = SweepSuite {
-        seeds: validated.seeds.clone(),
-        results,
-    }
-    .artifact_json();
+    // The reference: one worker, natural job order.
+    let direct = {
+        let service = Service::start(Registry::standard(), ServiceConfig::new().with_threads(1))
+            .expect("serial service starts");
+        let id = service
+            .submit(&request.clone().with_order(JobOrder::Input))
+            .expect("serial submit succeeds")
+            .id;
+        let response = service.wait(id).expect("serial wait succeeds");
+        assert!(matches!(response.status, SweepStatus::Done));
+        response.artifact.expect("done response carries artifact")
+    };
 
     // Service path: submit, wait, take the server-rendered artifact.
     let service = Service::start(Registry::standard(), ServiceConfig::new().with_threads(3))
@@ -100,7 +102,7 @@ fn service_artifact_is_bit_identical_to_runner() {
 
     assert_eq!(
         served, direct,
-        "service artifact bytes diverged from the direct runner path"
+        "service artifact bytes diverged from the serial input-order run"
     );
 }
 
@@ -319,5 +321,113 @@ fn failed_jobs_surface_in_the_terminal_status() {
             );
         }
         other => panic!("expected failed status, got {other}"),
+    }
+}
+
+/// Poll `id` until it is terminal, failing the test — instead of hanging
+/// it — if that takes longer than `limit`.
+fn wait_within(service: &Service, id: u64, limit: Duration) -> SweepResponse {
+    let deadline = Instant::now() + limit;
+    loop {
+        let response = service.status(id).expect("known id");
+        if response.status.is_terminal() {
+            return response;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "request {id} still {} after {limit:?}",
+            response.status
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A fig01 horizon too short to sample utilization yields NaN metrics,
+/// which panic in the percentile sort while the request is aggregated —
+/// after every job has finished, outside the per-job panic isolation. The
+/// request must end `Failed` with the cause instead of staying `running`.
+#[test]
+fn nan_metric_request_fails_instead_of_hanging() {
+    let service = Service::start(Registry::standard(), ServiceConfig::new().with_threads(2))
+        .expect("service starts");
+    let request = SweepRequest::new()
+        .scenario("fig01_utilization")
+        .with_seeds(2)
+        .param("nodes", ParamValue::parse("1"))
+        .param("horizon_days", ParamValue::parse("0.00001"));
+    let id = service.submit(&request).expect("submit").id;
+    match wait_within(&service, id, Duration::from_secs(10)).status {
+        SweepStatus::Failed { message } => assert!(
+            message.contains("aggregating results panicked") && message.contains("NaN"),
+            "failure message must name the cause: {message}"
+        ),
+        other => panic!("expected failed status, got {other}"),
+    }
+}
+
+/// The same aggregation panic on a one-worker pool: the request fails, and
+/// the single worker that finalized it survives to run the next request.
+#[test]
+fn aggregation_panic_fails_the_request_and_keeps_the_worker() {
+    struct NanProbe;
+    impl Scenario for NanProbe {
+        fn name(&self) -> &'static str {
+            "nan_probe"
+        }
+        fn title(&self) -> &'static str {
+            "reports a NaN metric"
+        }
+        fn run(&self, _sim: &mut des::Simulation, _params: &Params) -> Metrics {
+            let mut m = Metrics::new();
+            m.push("ratio", f64::NAN);
+            m
+        }
+    }
+    let mut registry = sleepy_registry();
+    registry.register(Box::new(NanProbe));
+    let service =
+        Service::start(registry, ServiceConfig::new().with_threads(1)).expect("service starts");
+
+    let bad = service
+        .submit(&SweepRequest::new().scenario("nan_probe").with_seeds(2))
+        .expect("submit");
+    let response = wait_within(&service, bad.id, Duration::from_secs(10));
+    assert!(
+        matches!(response.status, SweepStatus::Failed { ref message } if message.contains("NaN")),
+        "expected a NaN aggregation failure, got {}",
+        response.status
+    );
+
+    let good = service
+        .submit(&SweepRequest::new().scenario("fast").with_seeds(2))
+        .expect("follow-up submit");
+    let response = wait_within(&service, good.id, Duration::from_secs(10));
+    assert!(
+        matches!(response.status, SweepStatus::Done),
+        "the only worker died with the failed request: {}",
+        response.status
+    );
+}
+
+/// `wait` returning means the request left the dedup map: an identical
+/// submit sent right after must start fresh work, never coalesce onto the
+/// finished request.
+#[test]
+fn resubmit_after_wait_is_never_deduped() {
+    let service = Service::start(sleepy_registry(), ServiceConfig::new().with_threads(2))
+        .expect("service starts");
+    let request = SweepRequest::new().scenario("fast").with_seeds(1);
+    for round in 0..200 {
+        let first = service.submit(&request).expect("first submit");
+        assert!(!first.deduped, "round {round}: nothing was in flight");
+        service.wait(first.id).expect("wait first");
+        let second = service.submit(&request).expect("second submit");
+        assert!(
+            !second.deduped,
+            "round {round}: coalesced onto finished request {}",
+            first.id
+        );
+        assert_ne!(second.id, first.id);
+        service.wait(second.id).expect("wait second");
     }
 }

@@ -1,15 +1,14 @@
 //! The what-if service over its actual TCP wire: N concurrent clients
 //! against one server, racing submits/status/cancel, identical concurrent
 //! requests deduplicating, validation errors crossing the wire with their
-//! alternatives intact, and server-fetched artifacts byte-identical to
-//! the direct runner path.
+//! alternatives intact, and server-fetched artifacts byte-identical to a
+//! serial input-order run.
 
 use scenarios::server::Server;
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::wire::Client;
 use scenarios::{
-    Error, Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepRunner, SweepStatus,
-    SweepSuite,
+    Error, JobOrder, Metrics, ParamValue, Params, Registry, Scenario, SweepRequest, SweepStatus,
 };
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -85,16 +84,18 @@ fn server_artifact_bytes_match_the_direct_runner() {
         )
         .with_seeds(2);
 
-    let registry = Registry::standard();
-    let validated = request.validate(&registry).expect("valid");
-    let results = SweepRunner::new(2, validated.seeds.clone())
-        .try_run_suite(&validated.resolve(&registry))
-        .expect("runner succeeds");
-    let direct = SweepSuite {
-        seeds: validated.seeds.clone(),
-        results,
-    }
-    .artifact_json();
+    // The reference: an in-process service with one worker, natural order.
+    let direct = {
+        let service = Service::start(Registry::standard(), ServiceConfig::new().with_threads(1))
+            .expect("serial service starts");
+        let id = service
+            .submit(&request.clone().with_order(JobOrder::Input))
+            .expect("serial submit")
+            .id;
+        let response = service.wait(id).expect("serial wait");
+        assert!(matches!(response.status, SweepStatus::Done));
+        response.artifact.expect("artifact")
+    };
 
     let (addr, server) = serve(Registry::standard(), ServiceConfig::new().with_threads(2));
     let mut client = Client::connect(addr).expect("connect");

@@ -1,31 +1,72 @@
-//! Sweep determinism: a parallel `SweepRunner` (threads = 4) must produce
-//! bit-identical per-(point, seed) metrics to a serial run (threads = 1),
-//! for arbitrary seed lists and grids. Worker threads only decide *when* a
-//! job runs; each job owns its own `Simulation`, so *what* it computes is a
-//! pure function of `(params, seed)`.
+//! Sweep determinism: the service's work-stealing pool (threads ∈ {2, 4,
+//! 8}) must produce bit-identical per-(point, seed) metrics to a serial
+//! run (threads = 1, input order), for arbitrary grids and job-length skew.
+//! Worker threads only decide *when* a job runs; each job owns its own
+//! `Simulation`, so *what* it computes is a pure function of `(params,
+//! seed)`.
 
 use proptest::prelude::*;
-use scenarios::{Registry, SweepGrid, SweepRunner};
+use scenarios::{
+    CostTable, JobOrder, Registry, Scenario, Service, ServiceConfig, SweepRequest, SweepResult,
+    SweepStatus,
+};
+
+/// Run one request to completion on a fresh service over `registry`.
+fn sweep(registry: Registry, config: ServiceConfig, request: &SweepRequest) -> Vec<SweepResult> {
+    let service = Service::start(registry, config).expect("service starts");
+    let id = service.submit(request).expect("valid request").id;
+    let response = service.wait(id).expect("known id");
+    assert!(
+        matches!(response.status, SweepStatus::Done),
+        "sweep failed: {}",
+        response.status
+    );
+    service.results(id).expect("done request has results")
+}
+
+/// The serial reference: one worker, natural job order.
+fn serial(registry: Registry, request: &SweepRequest) -> Vec<SweepResult> {
+    let request = request.clone().with_order(JobOrder::Input);
+    sweep(registry, ServiceConfig::new().with_threads(1), &request)
+}
+
+fn threads(n: usize) -> ServiceConfig {
+    ServiceConfig::new().with_threads(n)
+}
+
+fn bits_eq(a: &[SweepResult], b: &[SweepResult]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
+}
+
+fn registry_of(scenario: impl Scenario + 'static) -> Registry {
+    let mut registry = Registry::new();
+    registry.register(Box::new(scenario));
+    registry
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial(
-        seed_base in 0u64..1_000_000,
+        reps_a in 1u64..8,
+        reps_b in 8u64..16,
         n_seeds in 1usize..4,
-        threads in 2usize..6,
+        pool in 0usize..3,
     ) {
-        let registry = Registry::standard();
-        let scenario = registry.get("fig09_cpu_sharing").expect("registered");
-        let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed_base + i).collect();
-        let grid = SweepGrid::new().axis("reps", vec![3u64, 6]);
+        // Seeds are fixed at REPORT_SEED.. by the request, so the grid is
+        // what varies from case to case.
+        let n = [2, 4, 8][pool];
+        let request = SweepRequest::new()
+            .scenario("fig09_cpu_sharing")
+            .axis("reps", vec![reps_a, reps_b])
+            .with_seeds(n_seeds);
 
-        let serial = SweepRunner::new(1, seeds.clone()).run(scenario, &grid);
-        let parallel = SweepRunner::new(threads, seeds).run(scenario, &grid);
+        let serial = serial(Registry::standard(), &request);
+        let parallel = sweep(Registry::standard(), threads(n), &request);
         prop_assert!(
-            serial.bits_eq(&parallel),
-            "threads={threads} diverged from serial"
+            bits_eq(&serial, &parallel),
+            "threads={n} diverged from serial"
         );
     }
 
@@ -33,23 +74,25 @@ proptest! {
     fn distinct_seeds_yield_distinct_noise(seed in 0u64..1_000_000) {
         // The noisy scenarios actually consume the seed: two different seeds
         // must not produce identical metrics (else CIs would be meaningless).
+        // A property of the scenario alone, so no pool is involved.
         let registry = Registry::standard();
         let scenario = registry.get("fig09_cpu_sharing").expect("registered");
-        let result = SweepRunner::new(2, vec![seed, seed + 1]).run(scenario, &SweepGrid::new());
-        let point = &result.points[0];
-        prop_assert!(!point.per_seed[0].1.bits_eq(&point.per_seed[1].1));
+        let params = scenario.default_params();
+        let a = scenario.run(&mut des::Simulation::new(seed), &params);
+        let b = scenario.run(&mut des::Simulation::new(seed + 1), &params);
+        prop_assert!(!a.bits_eq(&b));
     }
 }
 
 /// A scenario that leans on everything the calendar-queue engine promises
-/// the runner: `Simulation: Send` (jobs run inside worker threads), exact
+/// the pool: `Simulation: Send` (jobs run inside worker threads), exact
 /// `events_pending` under cancellation, `run_until` deadline semantics, and
 /// far-future (overflow-rung) timers that are renewed — i.e. cancelled and
 /// rescheduled — on every tick.
 #[test]
 fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
     use des::{EventId, SimTime, Simulation};
-    use scenarios::{Metrics, Params, Scenario};
+    use scenarios::{Metrics, Params};
     use std::sync::{Arc, Mutex};
 
     struct LeaseChurn;
@@ -103,13 +146,16 @@ fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
         }
     }
 
-    let serial = SweepRunner::new(1, vec![5, 6, 7]).run(&LeaseChurn, &SweepGrid::new());
-    let parallel = SweepRunner::new(4, vec![5, 6, 7]).run(&LeaseChurn, &SweepGrid::new());
+    let request = SweepRequest::new()
+        .scenario("lease_churn_probe")
+        .with_seeds(3);
+    let serial = serial(registry_of(LeaseChurn), &request);
+    let parallel = sweep(registry_of(LeaseChurn), threads(4), &request);
     assert!(
-        serial.bits_eq(&parallel),
+        bits_eq(&serial, &parallel),
         "cancellation-heavy scenario diverged"
     );
-    for (_, m) in &serial.points[0].per_seed {
+    for (_, m) in &serial[0].points[0].per_seed {
         assert_eq!(
             m.get("expiries"),
             Some(0.0),
@@ -132,7 +178,7 @@ fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
 #[test]
 fn work_stealing_is_bit_identical_under_job_length_skew() {
     use des::{SimTime, Simulation};
-    use scenarios::{CostTable, JobOrder, Metrics, Params, Scenario};
+    use scenarios::{Metrics, Params};
 
     struct Skewed;
 
@@ -170,9 +216,11 @@ fn work_stealing_is_bit_identical_under_job_length_skew() {
         }
     }
 
-    let grid = SweepGrid::new().axis("events", vec![2000u64, 5, 800, 1, 400, 50]);
-    let seeds = vec![42, 43, 44];
-    let serial = SweepRunner::new(1, seeds.clone()).run(&Skewed, &grid);
+    let request = SweepRequest::new()
+        .scenario("skewed_probe")
+        .axis("events", vec![2000u64, 5, 800, 1, 400, 50])
+        .with_seeds(3);
+    let serial = serial(registry_of(Skewed), &request);
 
     // Misleading priors: claim the shortest job is by far the longest, so
     // LPT starts the sweep in the worst possible order.
@@ -180,20 +228,24 @@ fn work_stealing_is_bit_identical_under_job_length_skew() {
     wrong_priors.record("skewed_probe|events=1", 1e6);
     wrong_priors.record("skewed_probe|events=2000", 1e-9);
 
-    for threads in [2, 4, 8] {
-        let stolen = SweepRunner::new(threads, seeds.clone())
-            .with_cost_table(wrong_priors.clone())
-            .run(&Skewed, &grid);
-        assert!(
-            serial.bits_eq(&stolen),
-            "threads={threads} with misleading cost priors diverged"
+    for n in [2, 4, 8] {
+        let stolen = sweep(
+            registry_of(Skewed),
+            threads(n).with_cost_table(wrong_priors.clone()),
+            &request,
         );
-        let input_order = SweepRunner::new(threads, seeds.clone())
-            .with_order(JobOrder::Input)
-            .run(&Skewed, &grid);
         assert!(
-            serial.bits_eq(&input_order),
-            "threads={threads} input order diverged"
+            bits_eq(&serial, &stolen),
+            "threads={n} with misleading cost priors diverged"
+        );
+        let input_order = sweep(
+            registry_of(Skewed),
+            threads(n),
+            &request.clone().with_order(JobOrder::Input),
+        );
+        assert!(
+            bits_eq(&serial, &input_order),
+            "threads={n} input order diverged"
         );
     }
 }

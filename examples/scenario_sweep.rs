@@ -1,22 +1,36 @@
 //! Sweep a registered scenario over a parameter grid and several seeds,
 //! in parallel, and print the aggregated metrics — the programmatic face of
-//! the `scenarios run` CLI.
+//! the `scenarios run` CLI, submitted to an in-process sweep service.
 //!
 //! ```sh
 //! cargo run --release --example scenario_sweep
 //! ```
 
 use hpc_serverless_disagg::scenarios::report::fmt;
-use hpc_serverless_disagg::scenarios::{Registry, SweepGrid, SweepRunner};
+use hpc_serverless_disagg::scenarios::{
+    JobOrder, Registry, Service, ServiceConfig, SweepRequest, SweepResult,
+};
+
+/// Run `request` on a fresh `threads`-worker service and return its result.
+fn sweep(threads: usize, request: &SweepRequest) -> SweepResult {
+    let config = ServiceConfig::new().with_threads(threads);
+    let service = Service::start(Registry::standard(), config).expect("service starts");
+    let id = service.submit(request).expect("valid request").id;
+    let response = service.wait(id).expect("known request");
+    assert!(response.status.is_terminal());
+    let mut results = service
+        .results(id)
+        .unwrap_or_else(|e| panic!("sweep failed: {e}"));
+    results.pop().expect("one scenario requested")
+}
 
 fn main() {
-    let registry = Registry::standard();
-    let scenario = registry.get("fig09_cpu_sharing").expect("registered");
-
     // 3 repetition counts × 4 seeds = 12 simulations, fanned over 4 workers.
-    let grid = SweepGrid::new().axis("reps", vec![5u64, 10, 20]);
-    let runner = SweepRunner::new(4, SweepRunner::seeds(4));
-    let result = runner.run(scenario, &grid);
+    let request = SweepRequest::new()
+        .scenario("fig09_cpu_sharing")
+        .axis("reps", vec![5u64, 10, 20])
+        .with_seeds(4);
+    let result = sweep(4, &request);
 
     println!(
         "swept `{}` over {} points × {} seeds:",
@@ -38,8 +52,9 @@ fn main() {
         }
     }
 
-    // Determinism: the same sweep on one thread is bit-identical.
-    let serial = SweepRunner::new(1, SweepRunner::seeds(4)).run(scenario, &grid);
+    // Determinism: the same sweep on one thread, in input order, is
+    // bit-identical.
+    let serial = sweep(1, &request.with_order(JobOrder::Input));
     assert!(result.bits_eq(&serial), "parallel == serial, bit for bit");
     println!("\nparallel run matches serial run bit-for-bit ✔");
 }

@@ -6,8 +6,8 @@
 //! dependency:
 //!
 //! * [`rfaas`] — the HPC FaaS platform (the paper's contribution)
-//! * [`scenarios`] — declarative figure/table experiments + parallel
-//!   multi-seed sweep runner (`scenarios run --all`)
+//! * [`scenarios`] — declarative figure/table experiments + the parallel
+//!   multi-seed sweep service (`scenarios run --all`, `scenarios serve`)
 //! * [`cluster`] — SLURM-like batch system + Piz Daint trace generator
 //! * [`fabric`] — RDMA-like interconnect with LogGP cost model
 //! * [`containers`] — HPC sandbox runtimes + warm pool
