@@ -298,7 +298,7 @@ fn cmd_run(registry: Registry, inv: SweepInvocation) -> Result<(), CliError> {
         );
     }
     println!(
-        "[scenarios] running {} jobs on {} work-stealing threads ({} order)",
+        "[scenarios] running {} jobs on {} worker threads ({} order)",
         validated.total_jobs,
         service.thread_count(),
         match validated.order {

@@ -2,13 +2,13 @@
 
 use des::SimTime;
 use fabric::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 use crate::job::JobId;
 
 /// Static hardware capacity of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct NodeResources {
     pub cores: u32,
     pub memory_mb: u64,
@@ -49,7 +49,7 @@ impl NodeResources {
 }
 
 /// Scheduler-relevant node state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum NodeState {
     /// No jobs assigned.
     Idle,

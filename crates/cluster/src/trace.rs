@@ -14,7 +14,7 @@
 //! inside a [`des::Simulation`], with a [`UtilizationMonitor`] sampling every
 //! two minutes exactly as the paper's measurement script did.
 
-use crate::job::JobSpec;
+use crate::job::{JobId, JobSpec};
 use crate::monitor::{MonitorReport, UtilizationMonitor};
 use crate::node::NodeResources;
 use crate::scheduler::Cluster;
@@ -135,55 +135,64 @@ pub struct TraceOutcome {
     pub mean_core_utilization_pct: f64,
 }
 
-struct TraceState {
-    cluster: Mutex<Cluster>,
-    monitor: Mutex<UtilizationMonitor>,
-    profile: TraceProfile,
-    rng: Mutex<RngStream>,
-    horizon: SimTime,
-    submitted: Mutex<usize>,
-    completed: Mutex<usize>,
+/// Everything a replay mutates, behind one lock: the simulation is
+/// single-threaded, so each event takes the lock exactly once.
+struct ReplayState {
+    cluster: Cluster,
+    monitor: UtilizationMonitor,
+    rng: RngStream,
+    submitted: usize,
+    completed: usize,
 }
 
-fn schedule_and_register_completions(sim: &mut Simulation, st: &Arc<TraceState>) {
-    let now = sim.now();
-    // One lock acquisition covers scheduling *and* the runtime lookups for
-    // every started job — this runs once per arrival and once per completion,
-    // so per-job re-locking was the replay hot path.
-    let (started, idle_periods) = {
-        let mut cluster = st.cluster.lock().unwrap();
-        let (started, idle_periods) = cluster.try_schedule(now);
-        let started: Vec<_> = started
-            .into_iter()
-            .map(|id| (id, cluster.job(id).expect("job").actual_runtime))
-            .collect();
-        (started, idle_periods)
-    };
-    {
-        let mut mon = st.monitor.lock().unwrap();
+impl ReplayState {
+    /// One scheduling pass at `now`: fold the exact idle periods it closed
+    /// into the monitor and return the started jobs with their runtimes.
+    fn schedule(&mut self, now: SimTime) -> Vec<(JobId, SimTime)> {
+        let (started, idle_periods) = self.cluster.try_schedule(now);
         for p in idle_periods {
-            mon.record_exact_idle_period(p);
+            self.monitor.record_exact_idle_period(p);
         }
+        started
+            .into_iter()
+            .map(|id| (id, self.cluster.job(id).expect("job").actual_runtime))
+            .collect()
     }
-    // Batch the completion timers: one arrival can start a whole backlog of
-    // queued jobs, and `schedule_batch` reserves arena capacity for the run
-    // once instead of growing per event. Each closure captures an `Arc` plus
-    // a job id — two words, so every completion stays on the inline-cell
-    // path (no per-event allocation).
+}
+
+struct TraceState {
+    state: Mutex<ReplayState>,
+    profile: TraceProfile,
+    horizon: SimTime,
+}
+
+/// Batch the completion timers: one arrival can start a whole backlog of
+/// queued jobs, and `schedule_batch` reserves arena capacity for the run
+/// once instead of growing per event. Each closure captures an `Arc` plus a
+/// job id — two words, so every completion stays on the inline-cell path
+/// (no per-event allocation).
+fn register_completions(
+    sim: &mut Simulation,
+    st: &Arc<TraceState>,
+    started: Vec<(JobId, SimTime)>,
+) {
+    let now = sim.now();
     sim.schedule_batch(started.into_iter().map(|(id, runtime)| {
         let st2 = Arc::clone(st);
-        let fire = move |sim: &mut Simulation| {
-            let now = sim.now();
-            st2.cluster
-                .lock()
-                .unwrap()
-                .finish(id, now)
-                .expect("running job finishes");
-            *st2.completed.lock().unwrap() += 1;
-            schedule_and_register_completions(sim, &st2);
-        };
+        let fire = move |sim: &mut Simulation| completion(sim, &st2, id);
         (now + runtime, fire)
     }));
+}
+
+fn completion(sim: &mut Simulation, st: &Arc<TraceState>, id: JobId) {
+    let now = sim.now();
+    let started = {
+        let mut state = st.state.lock().unwrap();
+        state.cluster.finish(id, now).expect("running job finishes");
+        state.completed += 1;
+        state.schedule(now)
+    };
+    register_completions(sim, st, started);
 }
 
 fn arrival(sim: &mut Simulation, st: Arc<TraceState>) {
@@ -191,18 +200,17 @@ fn arrival(sim: &mut Simulation, st: Arc<TraceState>) {
     if now >= st.horizon {
         return;
     }
-    {
-        let mut rng = st.rng.lock().unwrap();
-        let (spec, runtime) = st.profile.draw_job(&mut rng);
-        st.cluster.lock().unwrap().submit(spec, runtime, now);
-        *st.submitted.lock().unwrap() += 1;
-    }
-    schedule_and_register_completions(sim, &st);
-
-    let dt = {
-        let mut rng = st.rng.lock().unwrap();
-        SimTime::from_secs_f64(rng.exponential(st.profile.mean_interarrival_s))
+    let (started, dt) = {
+        let mut guard = st.state.lock().unwrap();
+        let state = &mut *guard;
+        let (spec, runtime) = st.profile.draw_job(&mut state.rng);
+        state.cluster.submit(spec, runtime, now);
+        state.submitted += 1;
+        let started = state.schedule(now);
+        let dt = SimTime::from_secs_f64(state.rng.exponential(st.profile.mean_interarrival_s));
+        (started, dt)
     };
+    register_completions(sim, &st, started);
     let st2 = Arc::clone(&st);
     sim.schedule_after(dt.max(SimTime::from_nanos(1)), move |sim| arrival(sim, st2));
 }
@@ -212,11 +220,12 @@ fn sampler(sim: &mut Simulation, st: Arc<TraceState>) {
     if now > st.horizon {
         return;
     }
-    let interval = st.monitor.lock().unwrap().interval();
-    st.monitor
-        .lock()
-        .unwrap()
-        .sample(&st.cluster.lock().unwrap(), now);
+    let interval = {
+        let mut guard = st.state.lock().unwrap();
+        let state = &mut *guard;
+        state.monitor.sample(&state.cluster, now);
+        state.monitor.interval()
+    };
     let st2 = Arc::clone(&st);
     sim.schedule_after(interval, move |sim| sampler(sim, st2));
 }
@@ -243,13 +252,15 @@ pub fn simulate_trace_in(
         "trace replay expects a fresh simulation"
     );
     let st = Arc::new(TraceState {
-        cluster: Mutex::new(Cluster::homogeneous(profile.nodes, profile.node_capacity)),
-        monitor: Mutex::new(UtilizationMonitor::two_minute()),
+        state: Mutex::new(ReplayState {
+            cluster: Cluster::homogeneous(profile.nodes, profile.node_capacity),
+            monitor: UtilizationMonitor::two_minute(),
+            rng: sim.stream("trace"),
+            submitted: 0,
+            completed: 0,
+        }),
         profile: profile.clone(),
-        rng: Mutex::new(sim.stream("trace")),
         horizon,
-        submitted: Mutex::new(0),
-        completed: Mutex::new(0),
     });
 
     // Warm-up arrivals start immediately; sampling starts after a warm-up
@@ -263,14 +274,13 @@ pub fn simulate_trace_in(
     sim.run_until(horizon);
 
     // Events queued past the horizon may still hold `Arc<TraceState>`
-    // clones inside the caller's engine, so harvest through the locks
+    // clones inside the caller's engine, so harvest through the lock
     // instead of unwrapping the Arc.
-    let submitted = *st.submitted.lock().unwrap();
-    let completed = *st.completed.lock().unwrap();
-    let monitor = std::mem::replace(
-        &mut *st.monitor.lock().unwrap(),
-        UtilizationMonitor::two_minute(),
-    );
+    let (submitted, completed, monitor) = {
+        let mut state = st.state.lock().unwrap();
+        let monitor = std::mem::replace(&mut state.monitor, UtilizationMonitor::two_minute());
+        (state.submitted, state.completed, monitor)
+    };
     let report = monitor.finish();
     let mean_util = {
         let vals: Vec<f64> = report

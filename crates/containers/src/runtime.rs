@@ -3,10 +3,10 @@
 //! hot invocations (Sec. IV-A/B).
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Container systems compared in Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ContainerRuntime {
     Docker,
     Singularity,
@@ -30,7 +30,7 @@ impl ContainerRuntime {
 }
 
 /// Row of Table II: what each runtime supports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RuntimeCapabilities {
     pub image_format: &'static str,
     pub repositories: &'static str,
@@ -89,7 +89,7 @@ impl RuntimeCapabilities {
 }
 
 /// How a function invocation finds its sandbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StartKind {
     /// No sandbox exists: create one, initialise user code.
     Cold,

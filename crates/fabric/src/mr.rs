@@ -7,12 +7,12 @@
 //! credential (see [`crate::drc`]).
 
 use bytes::{Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Remote key identifying a registered region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct MrKey(pub u64);
 
 impl fmt::Display for MrKey {
@@ -31,7 +31,7 @@ macro_rules! bitflags_lite {
         }
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
         pub struct $name(pub $ty);
 
         impl $name {

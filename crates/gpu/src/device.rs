@@ -2,10 +2,10 @@
 //! kernel-launch latency and PCIe transfer costs.
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A GPU's performance envelope.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct GpuDevice {
     pub name: &'static str,
     /// Peak double-precision FLOP/s.
@@ -49,7 +49,7 @@ impl GpuDevice {
 }
 
 /// One kernel's resource demand.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct KernelSpec {
     pub flops: f64,
     pub bytes_accessed: f64,

@@ -17,10 +17,10 @@
 
 use crate::history::{ColocationHistory, ColocationRecord};
 use crate::model::{colocation_overhead_pct, Demand, NodeCapacity};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Policy thresholds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PolicyConfig {
     /// Maximum acceptable predicted/recorded batch-job overhead, percent.
     pub max_batch_overhead_pct: f64,

@@ -17,7 +17,7 @@
 //!   [`Metrics::bits_eq`]-identical to the live value — decimal formatting
 //!   never touches the stored floats.
 //! * The [`Service`](crate::service::Service) consults the cache when a
-//!   request is submitted (hits bypass the work-stealing pool entirely and
+//!   request is submitted (hits bypass the run queue entirely and
 //!   record no cost observations) and its workers append each miss to the
 //!   request's segment. When the request completes, the segment is
 //!   fsync'd and merged into the index.

@@ -5,7 +5,7 @@
 //! deterministic [`des::Simulation`] and returns scalar [`Metrics`]. The
 //! [`registry::Registry`] knows every scenario. A [`SweepRequest`] names
 //! scenarios, a cartesian grid and a seed count; the [`Service`] runs it on
-//! its persistent work-stealing pool (each job owns its own `Simulation`,
+//! its persistent worker pool (each job owns its own `Simulation`,
 //! so results are bit-identical to a serial run), optionally memoized by
 //! the [`ResultCache`], and merges the per-seed metrics into mean/p50/p99
 //! aggregates with confidence intervals, ready for JSON emission. The CLI,

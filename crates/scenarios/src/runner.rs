@@ -6,7 +6,7 @@
 //! numbers every `(scenario, point, seed)` job with a result slot in
 //! task-major, point-major, seed-minor order; the
 //! [`Service`](crate::service::Service) worker pool then runs the jobs in
-//! whatever order its [`JobOrder`] and work stealing produce.
+//! whatever order its [`JobOrder`] and run queue produce.
 //! Each job writes its [`Metrics`] into its own slot of a write-once
 //! buffer, and aggregation walks the slots in order, so the merged
 //! statistics — and the rendered artifact — never depend on which worker
@@ -112,7 +112,7 @@ pub(crate) fn failure_message(mut failures: Vec<JobFailure>) -> String {
 
 /// Slot-indexed, write-once result storage shared by the worker pool.
 ///
-/// Each job id owns exactly one slot, and the deques hand each job to
+/// Each job id owns exactly one slot, and the run queue hands each job to
 /// exactly one worker, so writes are disjoint by construction. That
 /// invariant is what lets results land without a mutex per slot — and
 /// what keeps the output independent of who executed what.

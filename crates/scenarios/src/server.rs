@@ -5,7 +5,7 @@
 //! Connections are independent and verbs on one connection are strictly
 //! sequential (request → reply), but *across* connections everything is
 //! concurrent: N clients submitting at once all fan into the service's
-//! one injector and interleave there. A `wait` verb blocks only its own
+//! one run queue and interleave there. A `wait` verb blocks only its own
 //! connection thread.
 //!
 //! Shutdown is cooperative: the `shutdown` verb flips a flag, then pokes

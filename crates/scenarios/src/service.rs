@@ -6,13 +6,13 @@
 //! here, and `worker_loop` is the only code that runs a sweep job. One
 //! [`Service`] owns:
 //!
-//! * **A persistent work-stealing pool** — a shared FIFO [`Injector`],
-//!   per-worker Chase–Lev deques and sibling stealing, with workers that
-//!   outlive any one request, parking on a condvar when the queue runs
-//!   dry. Jobs from every live request flow through the one injector.
+//! * **A persistent worker pool** — one FIFO run queue (a mutexed
+//!   `VecDeque` plus a condvar) feeding workers that outlive any one
+//!   request and wait on the condvar when the queue runs dry. Jobs from
+//!   every live request flow through the one queue, in push order.
 //! * **Fair interleaving** — each request keeps at most `threads` jobs in
 //!   the pool at once (its *window*); completing a job refills the next
-//!   pending one at the injector's tail. A long request therefore owns at
+//!   pending one at the run queue's tail. A long request therefore owns at
 //!   most a window's worth of queue at any instant, and a short request
 //!   submitted behind it starts within one job-completion, not after the
 //!   long sweep drains — the head-of-line guarantee the concurrency tests
@@ -45,8 +45,9 @@
 //! thread that observes the count hit zero acquires every decrement in the
 //! release sequence, so all slot writes happen-before the finalizer's
 //! `SlotBuffer::take_vec`. The submit-time cache-hit writes are ordered
-//! before any worker runs via the injector push (release) → steal
-//! (acquire) chain, inductively through refills.
+//! before any worker runs by the run-queue mutex: the submit thread pushes
+//! the request's first jobs under it and a worker pops them under it,
+//! inductively through refills.
 
 use crate::cache::{self, CacheKey, CacheStats, CacheWriter, ResultCache};
 use crate::cost::CostTable;
@@ -59,10 +60,9 @@ use crate::runner::{
     aggregate_results, expand_jobs, failure_message, panic_message, sort_jobs_lpt, Job, JobFailure,
     JobOrder, SlotBuffer, SweepResult, SweepSuite,
 };
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use des::Simulation;
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -161,7 +161,7 @@ struct ActiveSweep {
     keys: Vec<Option<CacheKey>>,
     total_jobs: usize,
     cache_hits: usize,
-    /// Cost-ordered jobs not yet handed to the injector (the part of the
+    /// Cost-ordered jobs not yet pushed to the run queue (the part of the
     /// sweep beyond the in-flight window).
     pending: Mutex<VecDeque<Job>>,
     /// Pool jobs not yet completed or skipped. Hitting zero triggers
@@ -228,17 +228,23 @@ struct PoolJob {
     job: Job,
 }
 
+/// The pool's one FIFO of jobs, shared by every live request.
+struct RunQueue {
+    jobs: VecDeque<PoolJob>,
+    /// Set once by shutdown; workers exit when it is set and `jobs` is
+    /// empty, so pending work still drains.
+    shutdown: bool,
+}
+
 struct Inner {
     registry: Registry,
     threads: usize,
-    injector: Injector<PoolJob>,
-    /// Worker parking. The mutex guards no data — it sequences the
-    /// "check queue, then wait" window against "push, then notify".
-    park: (Mutex<()>, Condvar),
-    shutdown: AtomicBool,
-    requests: Mutex<HashMap<u64, Arc<ActiveSweep>>>,
-    /// Submission order of request ids (HashMap iteration is unordered).
-    order: Mutex<Vec<u64>>,
+    queue: Mutex<RunQueue>,
+    /// Signalled on every push and, to all workers, on shutdown.
+    queue_cond: Condvar,
+    /// Every request by id. Ids come from `next_id` and are registered
+    /// under the dedup lock, so key order is submission order.
+    requests: Mutex<BTreeMap<u64, Arc<ActiveSweep>>>,
     next_id: AtomicU64,
     cache: Option<Mutex<ResultCache>>,
     /// Prior costs from config — never mutated, the cold-start estimate.
@@ -260,13 +266,10 @@ impl Inner {
             .unwrap_or_else(|| self.priors.estimate(scenario, params))
     }
 
-    /// Push one job and wake a worker. Locking the park mutex (empty as it
-    /// is) before notifying closes the lost-wakeup window against a worker
-    /// that just found the queue dry and is about to wait.
+    /// Push one job at the run queue's tail and wake a worker.
     fn inject(&self, pool_job: PoolJob) {
-        self.injector.push(pool_job);
-        let _guard = self.park.0.lock().unwrap();
-        self.park.1.notify_one();
+        self.queue.lock().unwrap().jobs.push_back(pool_job);
+        self.queue_cond.notify_one();
     }
 }
 
@@ -277,7 +280,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Provision the pool (threads spawn immediately and park) and open
+    /// Provision the pool (threads spawn immediately and wait) and open
     /// the cache, if configured.
     pub fn start(registry: Registry, config: ServiceConfig) -> Result<Service, Error> {
         let cache = match &config.cache_dir {
@@ -288,11 +291,12 @@ impl Service {
         let inner = Arc::new(Inner {
             registry,
             threads,
-            injector: Injector::new(),
-            park: (Mutex::new(()), Condvar::new()),
-            shutdown: AtomicBool::new(false),
-            requests: Mutex::new(HashMap::new()),
-            order: Mutex::new(Vec::new()),
+            queue: Mutex::new(RunQueue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            queue_cond: Condvar::new(),
+            requests: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             cache,
             priors: config.cost_table,
@@ -300,15 +304,10 @@ impl Service {
             dedup: Mutex::new(HashMap::new()),
         });
 
-        let locals: Vec<Worker<PoolJob>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Arc<Vec<Stealer<PoolJob>>> =
-            Arc::new(locals.iter().map(Worker::stealer).collect());
-        let workers = locals
-            .into_iter()
-            .map(|local| {
+        let workers = (0..threads)
+            .map(|_| {
                 let inner = Arc::clone(&inner);
-                let stealers = Arc::clone(&stealers);
-                std::thread::spawn(move || worker_loop(&inner, local, &stealers))
+                std::thread::spawn(move || worker_loop(&inner))
             })
             .collect();
         Ok(Service { inner, workers })
@@ -360,7 +359,6 @@ impl Service {
             .lock()
             .unwrap()
             .insert(id, Arc::clone(&sweep));
-        inner.order.lock().unwrap().push(id);
         if !all_hit {
             dedup.insert(sweep.dedup_key.clone(), id);
         }
@@ -374,7 +372,7 @@ impl Service {
         let status = sweep.status();
         if !all_hit {
             // Open the request's window: the first `threads` jobs go into
-            // the shared FIFO; the rest follow one-per-completion.
+            // the run queue; the rest follow one-per-completion.
             let window: Vec<Job> = {
                 let mut pending = sweep.pending.lock().unwrap();
                 (0..inner.threads.min(pending.len()))
@@ -505,13 +503,11 @@ impl Service {
 
     /// Every request this service has seen, in submission order.
     pub fn list(&self) -> Vec<SweepResponse> {
-        let requests = self.inner.requests.lock().unwrap();
         self.inner
-            .order
+            .requests
             .lock()
             .unwrap()
-            .iter()
-            .filter_map(|id| requests.get(id))
+            .values()
             .map(|sweep| sweep.response(false))
             .collect()
     }
@@ -589,11 +585,8 @@ impl Service {
     }
 
     fn shutdown_impl(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.inner.park.0.lock().unwrap();
-            self.inner.park.1.notify_all();
-        }
+        self.inner.queue.lock().unwrap().shutdown = true;
+        self.inner.queue_cond.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -608,39 +601,24 @@ impl Drop for Service {
     }
 }
 
-/// The persistent pool thread: the canonical crossbeam find-task loop
-/// (local deque, then an injector batch, then sibling stealing), parking
-/// on the service condvar when everything is dry.
-fn worker_loop(inner: &Inner, local: Worker<PoolJob>, stealers: &[Stealer<PoolJob>]) {
+/// The persistent pool thread: pop the run queue's head, or wait on the
+/// condvar while it is empty. Exits once shutdown is set and the queue has
+/// drained.
+fn worker_loop(inner: &Inner) {
     loop {
-        let find_task = || {
-            local.pop().or_else(|| {
-                std::iter::repeat_with(|| {
-                    inner
-                        .injector
-                        .steal_batch_and_pop(&local)
-                        .or_else(|| stealers.iter().map(Stealer::steal).collect())
-                })
-                .find(|s: &Steal<PoolJob>| !s.is_retry())
-                .and_then(Steal::success)
-            })
-        };
-        match find_task() {
-            Some(PoolJob { sweep, job }) => run_job(inner, &sweep, job),
-            None => {
-                let guard = inner.park.0.lock().unwrap();
-                // Re-check under the lock: a pusher notifies holding it,
-                // so work pushed since find_task can't slip past us.
-                if !inner.injector.is_empty() {
-                    continue;
+        let PoolJob { sweep, job } = {
+            let mut queue = inner.queue.lock().unwrap();
+            loop {
+                if let Some(pool_job) = queue.jobs.pop_front() {
+                    break pool_job;
                 }
-                if inner.shutdown.load(Ordering::Acquire) {
+                if queue.shutdown {
                     return;
                 }
-                // Park until a submit/refill wakes us.
-                drop(inner.park.1.wait(guard).unwrap());
+                queue = inner.queue_cond.wait(queue).unwrap();
             }
-        }
+        };
+        run_job(inner, &sweep, job);
     }
 }
 
@@ -684,9 +662,10 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
                     }
                 }
                 drop(writer);
-                // SAFETY: the deque delivered this job to exactly this
-                // worker, `job.slot` is unique per job, and the AcqRel
-                // fetch_sub below releases this write to the finalizer.
+                // SAFETY: `pop_front` under the run-queue lock gave this job
+                // to exactly this worker, `job.slot` is unique per job, and
+                // the AcqRel fetch_sub below releases this write to the
+                // finalizer.
                 unsafe { sweep.slots.put(job.slot, metrics) };
             }
             Err(payload) => sweep.failures.lock().unwrap().push(JobFailure {
@@ -699,7 +678,7 @@ fn run_job(inner: &Inner, sweep: &Arc<ActiveSweep>, job: Job) {
     }
 
     // Refill the window: this request may put its next pending job at the
-    // injector's tail — behind anything other requests queued meanwhile,
+    // run queue's tail — behind anything other requests queued meanwhile,
     // which is exactly the interleaving fairness we want.
     let next = sweep.pending.lock().unwrap().pop_front();
     if let Some(next_job) = next {
@@ -739,8 +718,8 @@ fn finalize(inner: &Inner, sweep: &ActiveSweep) {
         let rendered = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: remaining hit zero and we are its observer — every
             // slot write (workers' puts via the AcqRel release sequence,
-            // submit-time hit puts via the injector push/steal chain or,
-            // for all-hit sweeps, program order) happens-before this drain.
+            // submit-time hit puts via the run-queue mutex or, for all-hit
+            // sweeps, program order) happens-before this drain.
             let slot_values = unsafe { sweep.slots.take_vec() };
             let names: Vec<&str> = sweep.names.iter().map(String::as_str).collect();
             let suite = SweepSuite {

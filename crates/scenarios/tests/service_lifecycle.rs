@@ -5,7 +5,8 @@
 //! pending work promptly, failures — in a job or in aggregation — ending
 //! the request rather than hanging it, and — the head-of-line guarantee —
 //! a short request completing while a long one is still running on a
-//! saturated pool.
+//! saturated pool, with jobs of concurrent requests run in FIFO
+//! interleaving.
 
 use scenarios::service::{Service, ServiceConfig};
 use scenarios::{
@@ -14,6 +15,7 @@ use scenarios::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Fresh per-test cache directory under cargo's integration-test tmpdir.
@@ -276,6 +278,79 @@ fn short_request_completes_while_long_request_still_runs() {
     );
     service.cancel(long.id).expect("cancel long");
     service.wait(long.id).expect("drain long");
+}
+
+/// A scenario that waits for a shared gate to open, then appends its name
+/// to a shared execution log.
+struct Recording {
+    name: &'static str,
+    log: Arc<Mutex<Vec<&'static str>>>,
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl Scenario for Recording {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn title(&self) -> &'static str {
+        "records its execution order"
+    }
+    fn run(&self, _sim: &mut des::Simulation, _params: &Params) -> Metrics {
+        let (open, cond) = &*self.gate;
+        let (_open, wait) = cond
+            .wait_timeout_while(open.lock().unwrap(), Duration::from_secs(10), |open| !*open)
+            .unwrap();
+        assert!(!wait.timed_out(), "the test never opened the gate");
+        self.log.lock().unwrap().push(self.name);
+        let mut m = Metrics::new();
+        m.push("ran", 1.0);
+        m
+    }
+}
+
+/// The FIFO contract, checked by order rather than timing: on one worker
+/// each request keeps one job queued, and a completion refills at the run
+/// queue's tail, so two requests alternate job by job.
+#[test]
+fn requests_interleave_job_by_job_on_one_worker() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut registry = Registry::new();
+    for name in ["a", "b"] {
+        registry.register(Box::new(Recording {
+            name,
+            log: Arc::clone(&log),
+            gate: Arc::clone(&gate),
+        }));
+    }
+    let service =
+        Service::start(registry, ServiceConfig::new().with_threads(1)).expect("service starts");
+
+    // A's first job holds the one worker at the gate (or waits in the
+    // queue), so B is queued before any job of A completes.
+    let a = service
+        .submit(&SweepRequest::new().scenario("a").with_seeds(4))
+        .expect("submit a");
+    let b = service
+        .submit(&SweepRequest::new().scenario("b").with_seeds(4))
+        .expect("submit b");
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+
+    for id in [a.id, b.id] {
+        let response = service.wait(id).expect("wait");
+        assert!(
+            matches!(response.status, SweepStatus::Done),
+            "request {id} ended {}",
+            response.status
+        );
+    }
+    assert_eq!(
+        *log.lock().unwrap(),
+        ["a", "b", "a", "b", "a", "b", "a", "b"]
+    );
+    let listed: Vec<u64> = service.list().iter().map(|r| r.id).collect();
+    assert_eq!(listed, [a.id, b.id], "list must follow submission order");
 }
 
 #[test]

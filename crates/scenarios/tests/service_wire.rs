@@ -218,6 +218,12 @@ fn concurrent_clients_submit_status_and_cancel() {
 
     let mut client = Client::connect(addr).expect("connect");
     let listed = client.list().expect("list");
+    // Ids are issued at submit, so ascending id order is submission order.
+    let listed_ids: Vec<u64> = listed.iter().map(|r| r.id).collect();
+    assert_eq!(
+        listed_ids, ids,
+        "list must return requests in submission order"
+    );
     for (id, cancelled) in &outcomes {
         let row = listed
             .iter()

@@ -1,5 +1,5 @@
-//! Sweep determinism: the service's work-stealing pool (threads ∈ {2, 4,
-//! 8}) must produce bit-identical per-(point, seed) metrics to a serial
+//! Sweep determinism: the service's worker pool (threads ∈ {2, 4, 8})
+//! must produce bit-identical per-(point, seed) metrics to a serial
 //! run (threads = 1, input order), for arbitrary grids and job-length skew.
 //! Worker threads only decide *when* a job runs; each job owns its own
 //! `Simulation`, so *what* it computes is a pure function of `(params,
@@ -169,12 +169,12 @@ fn sweep_with_cancellation_heavy_scenario_is_deterministic() {
     }
 }
 
-/// Work-stealing under heavy job-length skew: a sweep whose longest point
+/// Parallel execution under heavy job-length skew: a sweep whose longest point
 /// does ~400× the work of its shortest (the fig01-vs-everything-else shape
 /// that motivates LPT ordering) must still be bit-identical to serial, both
 /// with the cost-table order misled by wrong priors and with input order.
-/// Stealing moves jobs between workers *while* their siblings execute long
-/// traces — exactly the interleaving the lock-free deque must get right.
+/// Short jobs run on idle workers *while* their siblings execute long
+/// traces — exactly the interleaving the result slots must get right.
 #[test]
 fn work_stealing_is_bit_identical_under_job_length_skew() {
     use des::{SimTime, Simulation};

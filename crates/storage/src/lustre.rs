@@ -7,10 +7,10 @@
 
 use crate::ReadService;
 use des::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parallel filesystem parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Lustre {
     /// Metadata (open + layout) latency, seconds.
     pub mds_latency_s: f64,

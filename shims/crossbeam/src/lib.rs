@@ -1,16 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Two modules are provided:
-//!
-//! - [`channel`], backed by `std::sync::mpsc`. The workspace uses
-//!   single-consumer unbounded channels with cloneable senders, which std's
-//!   mpsc covers exactly (mpsc `Sender` has been `Sync` since Rust 1.72, so
-//!   sharing `Arc<Vec<Sender<_>>>` across scoped threads works).
-//! - [`deque`], the crossbeam-deque work-stealing surface: a lock-free
-//!   Chase–Lev [`deque::Worker`]/[`deque::Stealer`] pair plus a global FIFO
-//!   [`deque::Injector`], as used by the sweep runner's worker pool.
-
-pub mod deque;
+//! Only [`channel`] is provided, backed by `std::sync::mpsc`. The workspace
+//! uses single-consumer unbounded channels with cloneable senders, which
+//! std's mpsc covers exactly (mpsc `Sender` has been `Sync` since Rust 1.72,
+//! so sharing `Arc<Vec<Sender<_>>>` across scoped threads works).
 
 pub mod channel {
     use std::sync::mpsc;

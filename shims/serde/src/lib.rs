@@ -1,15 +1,15 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The real serde's visitor architecture is far more than this workspace
-//! needs: types here only ever derive `Serialize`/`Deserialize` and get
-//! written out as pretty JSON by the figure binaries. So [`Serialize`]
-//! converts straight into a self-describing [`Value`] tree (miniserde
-//! style), the derive macros in `serde_derive` generate those conversions,
-//! and `serde_json` renders the tree. [`Deserialize`] is a marker trait —
-//! no call site in the workspace parses data back in yet; when one does,
-//! `from_value` grows alongside it.
+//! needs: types here only ever derive `Serialize` and get written out as
+//! JSON. So [`Serialize`] converts straight into a self-describing [`Value`]
+//! tree (miniserde style), the derive macro in `serde_derive` generates
+//! that conversion, and `serde_json` renders the tree. There is no
+//! `Deserialize`: the few types read back in (the sweep request and wire
+//! protocol) parse themselves from a `Value` with strict hand-written
+//! `from_value` functions.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A self-describing serialized tree (JSON data model).
 #[derive(Debug, Clone, PartialEq)]
@@ -32,9 +32,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Marker for types that opted into deserialization via derive.
-pub trait Deserialize {}
-
 macro_rules! impl_serialize_unsigned {
     ($($ty:ty),*) => {$(
         impl Serialize for $ty {
@@ -42,7 +39,6 @@ macro_rules! impl_serialize_unsigned {
                 Value::U64(*self as u64)
             }
         }
-        impl Deserialize for $ty {}
     )*};
 }
 
@@ -54,7 +50,6 @@ macro_rules! impl_serialize_signed {
                 if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
             }
         }
-        impl Deserialize for $ty {}
     )*};
 }
 
@@ -66,21 +61,18 @@ impl Serialize for f64 {
         Value::F64(*self)
     }
 }
-impl Deserialize for f64 {}
 
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(f64::from(*self))
     }
 }
-impl Deserialize for f32 {}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
@@ -93,21 +85,18 @@ impl Serialize for String {
         Value::Str(self.clone())
     }
 }
-impl Deserialize for String {}
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
 }
-impl Deserialize for char {}
 
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
     }
 }
-impl Deserialize for () {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
@@ -129,7 +118,6 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T> Deserialize for Option<T> {}
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
@@ -142,14 +130,12 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
 }
-impl<T, const N: usize> Deserialize for [T; N] {}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
 }
-impl<T> Deserialize for Vec<T> {}
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
     fn to_value(&self) -> Value {

@@ -5,7 +5,7 @@
 //! supports exactly the shapes this workspace derives on: non-generic
 //! structs (named, tuple, unit) and non-generic enums whose variants are
 //! unit, tuple, or struct-like. Generated `Serialize` impls build the
-//! `serde::Value` tree; `Deserialize` emits the marker impl.
+//! `serde::Value` tree.
 //!
 //! Enum encoding follows serde's externally-tagged default: unit variants
 //! render as their name, data variants as `{"Variant": ...}`.
@@ -290,18 +290,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("generated impl parses")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(item) => item,
-        Err(e) => return compile_error(&e),
-    };
-    let name = match &item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
-    };
-    format!("#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("generated impl parses")
 }
