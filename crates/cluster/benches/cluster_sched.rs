@@ -19,9 +19,17 @@
 //! once on both implementations and the full started-job sequences must
 //! hash identically: the speedup column is only meaningful because the two
 //! schedulers provably make the same decisions.
+//!
+//! The utilization sampler gets the same treatment: `fig01_replay` replays
+//! the 1,800-node Piz Daint profile (the `fig01_utilization` workload) and
+//! samples it every two simulated minutes; the incremental
+//! `UtilizationMonitor` and the frozen scan sampler
+//! (`cluster::reference::RefMonitor`) first sample one replay in lockstep
+//! and must report identical bits, then each is timed over its `sample`
+//! calls alone (`monitor_1800_samples_per_sec`).
 
-use cluster::reference::RefCluster;
-use cluster::{Cluster, JobId, JobSpec, NodeResources};
+use cluster::reference::{report_bits, RefCluster, RefMonitor};
+use cluster::{Cluster, JobId, JobSpec, NodeResources, TraceProfile, UtilizationMonitor};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use des::{RngStream, SimTime};
 use std::cmp::Reverse;
@@ -256,6 +264,150 @@ fn timed_replays<S: Sched>(
     (hash.expect("n >= 1"), rates[rates.len() / 2])
 }
 
+/// What the fig01 replay feeds a utilization sampler.
+trait Sampler {
+    fn sample(&mut self, cluster: &Cluster, now: SimTime);
+    fn record_exact_idle_period(&mut self, period: SimTime);
+}
+
+impl Sampler for UtilizationMonitor {
+    fn sample(&mut self, cluster: &Cluster, now: SimTime) {
+        UtilizationMonitor::sample(self, cluster, now)
+    }
+    fn record_exact_idle_period(&mut self, period: SimTime) {
+        UtilizationMonitor::record_exact_idle_period(self, period)
+    }
+}
+
+impl Sampler for RefMonitor {
+    fn sample(&mut self, cluster: &Cluster, now: SimTime) {
+        RefMonitor::sample(self, cluster.nodes(), now)
+    }
+    fn record_exact_idle_period(&mut self, period: SimTime) {
+        RefMonitor::record_exact_idle_period(self, period)
+    }
+}
+
+/// Two samplers fed the same replay, for the bit-identity check.
+impl<A: Sampler, B: Sampler> Sampler for (A, B) {
+    fn sample(&mut self, cluster: &Cluster, now: SimTime) {
+        self.0.sample(cluster, now);
+        self.1.sample(cluster, now);
+    }
+    fn record_exact_idle_period(&mut self, period: SimTime) {
+        self.0.record_exact_idle_period(period);
+        self.1.record_exact_idle_period(period);
+    }
+}
+
+/// Accumulates the wall time spent inside the wrapped `sample` calls only.
+struct Timed<S> {
+    inner: S,
+    samples: usize,
+    secs: f64,
+}
+
+impl<S: Sampler> Sampler for Timed<S> {
+    fn sample(&mut self, cluster: &Cluster, now: SimTime) {
+        let t0 = Instant::now();
+        self.inner.sample(cluster, now);
+        self.secs += t0.elapsed().as_secs_f64();
+        self.samples += 1;
+    }
+    fn record_exact_idle_period(&mut self, period: SimTime) {
+        self.inner.record_exact_idle_period(period)
+    }
+}
+
+/// Replay `hours` of the Piz Daint profile on its 1,800 nodes the way
+/// `cluster::simulate_trace` does, without the DES engine: Poisson
+/// arrivals, completions at the actual runtime, and a sample every two
+/// simulated minutes after the same warm-up window.
+fn fig01_replay(hours: u64, seed: u64, sampler: &mut impl Sampler) {
+    let profile = TraceProfile::piz_daint();
+    let mut rng = RngStream::from_seed(seed);
+    let mut cluster = Cluster::homogeneous(profile.nodes, profile.node_capacity);
+    let horizon = SimTime::from_hours(hours);
+    let interval = SimTime::from_mins(2);
+    let mut completions: BinaryHeap<Reverse<(SimTime, JobId)>> = BinaryHeap::new();
+    let mut next_arrival = SimTime::ZERO;
+    let mut next_sample = SimTime::from_hours(6).min(horizon / 10);
+    loop {
+        let next_completion = completions.peek().map_or(SimTime::MAX, |r| r.0 .0);
+        let now = next_arrival.min(next_completion).min(next_sample);
+        if now > horizon {
+            return;
+        }
+        if now == next_sample {
+            sampler.sample(&cluster, now);
+            next_sample += interval;
+            continue;
+        }
+        if now == next_completion {
+            let Reverse((_, id)) = completions.pop().expect("peeked");
+            cluster.finish(id, now).expect("running job finishes");
+        } else {
+            let (spec, runtime) = profile.draw_job(&mut rng);
+            cluster.submit(spec, runtime, now);
+            let dt = SimTime::from_secs_f64(rng.exponential(profile.mean_interarrival_s));
+            next_arrival = now + dt.max(SimTime::from_nanos(1));
+        }
+        let (started, idle_periods) = cluster.try_schedule(now);
+        for p in idle_periods {
+            sampler.record_exact_idle_period(p);
+        }
+        for id in started {
+            let runtime = cluster.job(id).expect("started job").actual_runtime;
+            completions.push(Reverse((now + runtime, id)));
+        }
+    }
+}
+
+/// Sample one replay with both samplers in lockstep; their reports must
+/// be bit-identical.
+fn assert_sampler_matches_scan(hours: u64, seed: u64) {
+    let mut both = (UtilizationMonitor::two_minute(), RefMonitor::two_minute());
+    fig01_replay(hours, seed, &mut both);
+    let (incremental, scan) = (both.0.finish(), both.1.finish());
+    assert!(
+        !incremental.idle_nodes.is_empty(),
+        "the replay took no samples"
+    );
+    assert_eq!(
+        report_bits(&incremental),
+        report_bits(&scan),
+        "incremental sampler diverged from the scan sampler"
+    );
+}
+
+/// Median samples/sec over `n` replays, timing the `sample` calls only.
+fn timed_samples<S: Sampler>(
+    n: usize,
+    mut make: impl FnMut() -> S,
+    hours: u64,
+    label: &str,
+) -> f64 {
+    let mut rates: Vec<f64> = (0..n)
+        .map(|i| {
+            let mut timed = Timed {
+                inner: make(),
+                samples: 0,
+                secs: 0.0,
+            };
+            fig01_replay(hours, 29, &mut timed);
+            eprintln!(
+                "[cluster_sched] {label} run {}/{n}: {} samples in {:.3}s",
+                i + 1,
+                timed.samples,
+                timed.secs
+            );
+            timed.samples as f64 / timed.secs
+        })
+        .collect();
+    rates.sort_by(|a, b| a.total_cmp(b));
+    rates[rates.len() / 2]
+}
+
 fn bench_cluster_sched(c: &mut Criterion) {
     // Smoke cases: small enough for `cargo bench -- --test`, and the
     // bit-identity witness runs on every invocation, smoke or measured.
@@ -278,6 +430,14 @@ fn bench_cluster_sched(c: &mut Criterion) {
     });
     g.bench_function("replay_256n_2k_cancel_backfill_indexed", |b| {
         b.iter(|| black_box(replay(&mut indexed_cluster(256), &smoke_cancel)));
+    });
+    assert_sampler_matches_scan(12, 31);
+    g.bench_function("monitor_1800n_12h", |b| {
+        b.iter(|| {
+            let mut m = UtilizationMonitor::two_minute();
+            fig01_replay(12, 31, &mut m);
+            black_box(m.finish())
+        });
     });
     g.finish();
 
@@ -318,19 +478,28 @@ fn bench_cluster_sched(c: &mut Criterion) {
     );
     assert_eq!(h_idx_8kc, h_scan_8kc, "divergence on the 8k cancel stream");
 
+    // The sampler over fig01's 14-day horizon: 9,901 samples per replay.
+    assert_sampler_matches_scan(14 * 24, 29);
+    let mon = timed_samples(3, UtilizationMonitor::two_minute, 14 * 24, "monitor");
+    let mon_scan = timed_samples(3, RefMonitor::two_minute, 14 * 24, "monitor scan");
+
     let speedup = idx_8k / scan_8k;
     println!("cluster_sched/1k_100k:        {idx_1k:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_100k:        {idx_8k:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_cancel:      {idx_8k_cancel:.0} jobs/s (indexed, median of 3)");
     println!("cluster_sched/8k_100k_scan:   {scan_8k:.0} jobs/s (scan oracle)");
     println!("cluster_sched/speedup_8k:     {speedup:.1}x");
+    println!("cluster_sched/monitor_1800:   {mon:.0} samples/s (incremental, median of 3)");
+    println!("cluster_sched/monitor_scan:   {mon_scan:.0} samples/s (scan oracle, median of 3)");
 
     let json = format!(
         "{{\n  \"sched_1k_100k_jobs_per_sec\": {idx_1k:.0},\n  \
          \"sched_8k_100k_jobs_per_sec\": {idx_8k:.0},\n  \
          \"sched_8k_cancel_backfill_jobs_per_sec\": {idx_8k_cancel:.0},\n  \
          \"sched_8k_100k_scan_jobs_per_sec\": {scan_8k:.0},\n  \
-         \"sched_8k_speedup_vs_scan\": {speedup:.2}\n}}\n"
+         \"sched_8k_speedup_vs_scan\": {speedup:.2},\n  \
+         \"monitor_1800_samples_per_sec\": {mon:.0},\n  \
+         \"monitor_1800_scan_samples_per_sec\": {mon_scan:.0}\n}}\n"
     );
     let path = std::env::var("BENCH_CLUSTER_SCHED_JSON").unwrap_or_else(|_| {
         format!(

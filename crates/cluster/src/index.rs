@@ -27,6 +27,12 @@
 //! * **Feasibility counts** — node capacities are static, so the number of
 //!   nodes fitting a request shape is a per-class member count summed over
 //!   fitting classes, `O(#classes)` per query.
+//! * **Utilization aggregates** — the idle index doubles as the monitor's
+//!   view of the cluster: the idle node count and the memory of idle nodes
+//!   are `Σ idle.len()` and `Σ idle.len() × capacity.memory_mb` over the
+//!   classes (`O(#classes)`), total memory is the same sum over members, and
+//!   [`SchedIndex::idle_ids`] walks the per-class idle sets, so a sample
+//!   costs `O(idle nodes)` instead of `O(n)`.
 //!
 //! The cluster publishes every allocation state change through
 //! [`SchedIndex::note_allocated`] / [`SchedIndex::note_released`]. Callers
@@ -216,6 +222,34 @@ impl SchedIndex {
             .filter(|c| c.capacity.fits(req))
             .map(|c| c.members)
             .sum()
+    }
+
+    /// Number of placeable idle nodes (`Node::is_idle`), `O(#classes)`.
+    pub fn idle_count(&self) -> usize {
+        self.classes.iter().map(|c| c.idle.len()).sum()
+    }
+
+    /// Memory capacity of the idle nodes in MB, `O(#classes)`.
+    pub fn idle_memory_mb(&self) -> u64 {
+        self.classes
+            .iter()
+            .map(|c| c.idle.len() as u64 * c.capacity.memory_mb)
+            .sum()
+    }
+
+    /// Memory capacity of every node in MB, `O(#classes)`.
+    pub fn total_memory_mb(&self) -> u64 {
+        self.classes
+            .iter()
+            .map(|c| c.members as u64 * c.capacity.memory_mb)
+            .sum()
+    }
+
+    /// Ids of the idle nodes, class by class (not in node-id order).
+    pub fn idle_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.classes
+            .iter()
+            .flat_map(|c| c.idle.iter().map(|&(_, id)| id))
     }
 
     /// Find nodes for `spec` right now: the indexed replacement for the

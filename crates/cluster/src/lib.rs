@@ -18,9 +18,9 @@ pub(crate) mod index;
 pub mod job;
 pub mod monitor;
 pub mod node;
-/// The pre-index scan scheduler, kept verbatim as a correctness oracle for
-/// property tests and a like-for-like baseline for the `cluster_sched`
-/// bench (`--features oracle`).
+/// The pre-index scan scheduler and scan utilization sampler, kept verbatim
+/// as correctness oracles for property tests and like-for-like baselines
+/// for the `cluster_sched` bench (`--features oracle`).
 #[cfg(any(test, feature = "oracle"))]
 pub mod reference;
 pub mod scheduler;

@@ -4,12 +4,22 @@
 //! discrete sampling* (hence the "minimal" and "maximal" estimation panels of
 //! Fig. 1c). We record both the sampled estimates and the simulator's ground
 //! truth.
+//!
+//! A sample costs `O(idle nodes)`, not `O(n)`: the cluster aggregates come
+//! from counters and the idle index (see [`Cluster::core_usage`]), and idle
+//! runs are tracked from the idle set alone. Each node has a dense run
+//! length and the stamp of the last sample that saw it idle; `open` lists
+//! the nodes with a run in progress. A sample walks
+//! [`Cluster::idle_nodes`] to extend or open runs, then closes every open
+//! run whose node it did not see. A node that was allocated and released
+//! between two samples is idle at both, so its run carries on across the
+//! blip, exactly as with a per-node scan. The frozen scan sampler in
+//! `crate::reference` (`RefMonitor`) is the oracle for this.
 
 use crate::scheduler::Cluster;
 use des::{Percentiles, SimTime};
 use fabric::NodeId;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// Summary statistics over idle-period durations.
 #[derive(Debug, Clone, Serialize)]
@@ -23,7 +33,7 @@ pub struct IdlePeriodStats {
 }
 
 impl IdlePeriodStats {
-    fn from_percentiles(p: &mut Percentiles) -> Self {
+    pub(crate) fn from_percentiles(p: &mut Percentiles) -> Self {
         if p.is_empty() {
             return IdlePeriodStats {
                 events: 0,
@@ -67,8 +77,14 @@ pub struct UtilizationMonitor {
     memory_split_pct: Vec<(f64, f64, f64, f64)>,
     idle_nodes: Vec<usize>,
     exact_periods: Percentiles,
-    /// consecutive idle-sample run length per node
-    idle_runs: HashMap<NodeId, u32>,
+    /// Consecutive idle-sample run length per node id (0 = no open run).
+    run_len: Vec<u32>,
+    /// Per node id, the number of the last sample that saw it idle.
+    last_idle: Vec<u64>,
+    /// Nodes with an open run.
+    open: Vec<NodeId>,
+    /// Samples taken so far; the current sample's stamp.
+    samples: u64,
     minimal: Percentiles,
     maximal: Percentiles,
 }
@@ -87,7 +103,10 @@ impl UtilizationMonitor {
             memory_split_pct: Vec::new(),
             idle_nodes: Vec::new(),
             exact_periods: Percentiles::new(),
-            idle_runs: HashMap::new(),
+            run_len: Vec::new(),
+            last_idle: Vec::new(),
+            open: Vec::new(),
+            samples: 0,
             minimal: Percentiles::new(),
             maximal: Percentiles::new(),
         }
@@ -122,30 +141,43 @@ impl UtilizationMonitor {
 
         self.idle_nodes.push(cluster.idle_node_count());
 
-        // Discrete idle-period estimation: extend runs for idle nodes, close
-        // runs for nodes that stopped being idle.
-        let interval_s = self.interval.as_secs_f64();
-        for node in cluster.nodes() {
-            if node.is_idle() {
-                *self.idle_runs.entry(node.id).or_insert(0) += 1;
-            } else if let Some(k) = self.idle_runs.remove(&node.id) {
-                self.close_run(k, interval_s);
-            }
+        // Discrete idle-period estimation: extend or open runs for idle
+        // nodes, then close the runs of nodes this sample did not see idle.
+        self.samples += 1;
+        let stamp = self.samples;
+        let n = cluster.node_count();
+        if self.run_len.len() < n {
+            self.run_len.resize(n, 0);
+            self.last_idle.resize(n, 0);
         }
-    }
-
-    fn close_run(&mut self, k: u32, interval_s: f64) {
-        debug_assert!(k > 0);
-        self.minimal.push((k.saturating_sub(1)) as f64 * interval_s);
-        self.maximal.push((k + 1) as f64 * interval_s);
+        for node in cluster.idle_nodes() {
+            let i = node.id.0 as usize;
+            if self.run_len[i] == 0 {
+                self.open.push(node.id);
+            }
+            self.run_len[i] += 1;
+            self.last_idle[i] = stamp;
+        }
+        let interval_s = self.interval.as_secs_f64();
+        let (run_len, last_idle) = (&mut self.run_len, &self.last_idle);
+        let (minimal, maximal) = (&mut self.minimal, &mut self.maximal);
+        self.open.retain(|id| {
+            let i = id.0 as usize;
+            if last_idle[i] == stamp {
+                return true;
+            }
+            close_run(minimal, maximal, run_len[i], interval_s);
+            run_len[i] = 0;
+            false
+        });
     }
 
     /// Close all open runs (end of trace) and produce the report.
     pub fn finish(mut self) -> MonitorReport {
         let interval_s = self.interval.as_secs_f64();
-        let runs: Vec<u32> = self.idle_runs.drain().map(|(_, k)| k).collect();
-        for k in runs {
-            self.close_run(k, interval_s);
+        for id in std::mem::take(&mut self.open) {
+            let k = self.run_len[id.0 as usize];
+            close_run(&mut self.minimal, &mut self.maximal, k, interval_s);
         }
         let median_idle_nodes = {
             let mut p = Percentiles::new();
@@ -168,6 +200,14 @@ impl UtilizationMonitor {
             maximal_estimation: IdlePeriodStats::from_percentiles(&mut self.maximal),
         }
     }
+}
+
+/// Record a finished run of `k` consecutive idle samples as its minimal and
+/// maximal duration estimates.
+fn close_run(minimal: &mut Percentiles, maximal: &mut Percentiles, k: u32, interval_s: f64) {
+    debug_assert!(k > 0);
+    minimal.push((k.saturating_sub(1)) as f64 * interval_s);
+    maximal.push((k + 1) as f64 * interval_s);
 }
 
 #[cfg(test)]
@@ -258,6 +298,58 @@ mod tests {
         }
         let r = m.finish();
         assert_eq!(r.minimal_estimation.events, 3, "one event per idle node");
+    }
+
+    #[test]
+    fn run_spans_an_allocation_between_samples() {
+        // Allocated at 3 min and released at 3.5 min: idle at both the 2 and
+        // the 4 min sample, so the run counts straight across the blip. It
+        // closes at 8 min, the first sample that sees the node busy: k = 4
+        // (0, 2, 4, 6 min), minimal (k-1)*2 = 6 min.
+        let mut c = Cluster::homogeneous(1, NodeResources::daint_mc());
+        let mut m = UtilizationMonitor::two_minute();
+        m.sample(&c, SimTime::ZERO);
+        m.sample(&c, SimTime::from_mins(2));
+        let blip = c.submit(spec(1), SimTime::from_secs(30), SimTime::from_mins(3));
+        c.try_schedule(SimTime::from_mins(3));
+        c.finish(blip, SimTime::from_secs(210)).unwrap();
+        m.sample(&c, SimTime::from_mins(4));
+        m.sample(&c, SimTime::from_mins(6));
+        c.submit(spec(1), SimTime::from_mins(30), SimTime::from_mins(7));
+        c.try_schedule(SimTime::from_mins(7));
+        m.sample(&c, SimTime::from_mins(8));
+        assert!(m.open.is_empty(), "the busy sample closed the run");
+        let r = m.finish();
+        assert_eq!(r.idle_nodes, vec![1, 1, 1, 1, 0]);
+        assert_eq!(r.minimal_estimation.events, 1);
+        assert_eq!(r.minimal_estimation.median_min, 6.0);
+        assert_eq!(r.maximal_estimation.median_min, 10.0);
+    }
+
+    #[test]
+    fn node_set_down_closes_its_run_at_the_next_sample() {
+        // `node_mut` dirties the index and no scheduling pass rebuilds it
+        // before the next samples: they must still see node 0 as not idle.
+        let mut c = Cluster::homogeneous(2, NodeResources::daint_mc());
+        let mut m = UtilizationMonitor::two_minute();
+        for i in 0..3 {
+            m.sample(&c, SimTime::from_mins(2 * i));
+        }
+        c.node_mut(NodeId(0)).unwrap().set_down();
+        m.sample(&c, SimTime::from_mins(6));
+        assert_eq!(
+            m.open,
+            vec![NodeId(1)],
+            "node 0's run closed at this sample"
+        );
+        m.sample(&c, SimTime::from_mins(8));
+        let r = m.finish();
+        assert_eq!(r.idle_nodes, vec![2, 2, 2, 1, 1]);
+        // Node 0: k = 3 -> 4 min; node 1: k = 5, closed at finish -> 8 min.
+        assert_eq!(r.minimal_estimation.events, 2);
+        assert_eq!(r.minimal_estimation.mean_min, 6.0);
+        let (_, used, free_alloc, free_idle) = r.memory_split_pct[4];
+        assert_eq!((used, free_alloc, free_idle), (0.0, 50.0, 50.0));
     }
 
     #[test]

@@ -7,13 +7,20 @@
 //! by each `try_schedule`, the pending/idle/running counts, every job's
 //! state and timestamps, and `next_completion`.
 //!
+//! The same op stream also drives the utilization sampler: after every op
+//! the cluster's aggregates (`core_usage`, `memory_usage`,
+//! `idle_node_count`, the `idle_nodes` set) must equal a direct scan over
+//! the nodes, including while `node_mut` has left the index dirty, and at
+//! the end the incremental [`UtilizationMonitor`] and the frozen scan
+//! sampler [`RefMonitor`] must report the same bits.
+//!
 //! These tests are unit tests (not integration tests) on purpose: the
 //! reference module is `cfg(any(test, feature = "oracle"))`, and unit tests
 //! see it without requiring callers to enable the feature.
 
-use crate::reference::RefCluster;
+use crate::reference::{report_bits, RefCluster, RefMonitor};
 use crate::scheduler::Cluster;
-use crate::{JobId, JobSpec, Node, NodeResources};
+use crate::{JobId, JobSpec, Node, NodeResources, UtilizationMonitor};
 use des::SimTime;
 use fabric::NodeId;
 use proptest::prelude::*;
@@ -47,6 +54,13 @@ enum Op {
     Cancel { k: usize },
     /// Let simulated time pass before the next op.
     Advance { mins: u64 },
+    /// Take a utilization sample on both monitors.
+    Sample,
+    /// Mark the `k % nodes`-th node down through `node_mut` (dirties the
+    /// index until the next scheduling pass).
+    SetDown { k: usize },
+    /// Mark the `k % nodes`-th node draining through `node_mut`.
+    Drain { k: usize },
 }
 
 fn arb_spec() -> impl Strategy<Value = JobSpec> {
@@ -86,69 +100,148 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
         })
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..10, arb_spec(), 1u64..400, 0usize..64, 1u64..90).prop_map(
+/// The op mix; `node_ops` adds the rare `SetDown`/`Drain` (each takes a
+/// node out of service for good).
+fn arb_op(node_ops: bool) -> impl Strategy<Value = Op> {
+    let sels = if node_ops { 32 } else { 30 };
+    (0u8..sels, arb_spec(), 1u64..400, 0usize..64, 1u64..90).prop_map(
         |(sel, spec, actual_mins, k, mins)| match sel {
-            0..=4 => Op::Submit { spec, actual_mins },
-            5 | 6 => Op::FinishEarliest,
-            7 | 8 => Op::Cancel { k },
-            _ => Op::Advance { mins },
+            0..=10 => Op::Submit { spec, actual_mins },
+            11..=15 => Op::FinishEarliest,
+            16..=20 => Op::Cancel { k },
+            21..=24 => Op::Advance { mins },
+            25..=29 => Op::Sample,
+            30 => Op::SetDown { k },
+            _ => Op::Drain { k },
         },
     )
 }
 
-/// Apply one op to both clusters and compare every observable.
-fn step(
-    c: &mut Cluster,
-    r: &mut RefCluster,
-    op: &Op,
-    now: &mut SimTime,
-    submitted: &mut Vec<JobId>,
-) -> Result<(), TestCaseError> {
-    let schedule_both = |c: &mut Cluster, r: &mut RefCluster, now: SimTime| {
-        let got = c.try_schedule(now);
-        let want = r.try_schedule(now);
+/// Both schedulers and both samplers, driven in lockstep.
+struct Lockstep {
+    c: Cluster,
+    r: RefCluster,
+    mon: UtilizationMonitor,
+    ref_mon: RefMonitor,
+    now: SimTime,
+    submitted: Vec<JobId>,
+}
+
+impl Lockstep {
+    fn new(c: Cluster, r: RefCluster) -> Self {
+        Lockstep {
+            c,
+            r,
+            mon: UtilizationMonitor::two_minute(),
+            ref_mon: RefMonitor::two_minute(),
+            now: SimTime::ZERO,
+            submitted: Vec::new(),
+        }
+    }
+
+    /// Finish both samplers; their reports must match bit for bit.
+    fn finish(self) -> Result<(), TestCaseError> {
+        let got = self.mon.finish();
+        let want = self.ref_mon.finish();
+        prop_assert_eq!(
+            report_bits(&got),
+            report_bits(&want),
+            "sampler reports diverged"
+        );
+        Ok(())
+    }
+}
+
+/// The utilization aggregates by direct scan over `nodes`: core usage,
+/// memory split, and the sorted idle node ids.
+fn scan_aggregates(nodes: &[Node]) -> ((u64, u64), (u64, u64, u64), Vec<NodeId>) {
+    let (mut used, mut total, mut mem, mut free_alloc, mut free_idle) = (0, 0, 0, 0, 0);
+    let mut idle = Vec::new();
+    for n in nodes {
+        let u = n.used();
+        used += u64::from(u.cores);
+        total += u64::from(n.capacity.cores);
+        mem += u.memory_mb;
+        if n.is_idle() {
+            free_idle += n.capacity.memory_mb;
+            idle.push(n.id);
+        } else {
+            free_alloc += n.capacity.memory_mb - u.memory_mb;
+        }
+    }
+    ((used, total), (mem, free_alloc, free_idle), idle)
+}
+
+/// Apply one op to both clusters (and both samplers) and compare every
+/// observable.
+fn step(h: &mut Lockstep, op: &Op) -> Result<(), TestCaseError> {
+    let schedule_both = |h: &mut Lockstep| {
+        let got = h.c.try_schedule(h.now);
+        let want = h.r.try_schedule(h.now);
+        for &p in &got.1 {
+            h.mon.record_exact_idle_period(p);
+        }
+        for &p in &want.1 {
+            h.ref_mon.record_exact_idle_period(p);
+        }
         (got, want)
     };
+    let now = h.now;
     match op {
         Op::Submit { spec, actual_mins } => {
             let actual = SimTime::from_mins(*actual_mins);
-            let a = c.submit(spec.clone(), actual, *now);
-            let b = r.submit(spec.clone(), actual, *now);
+            let a = h.c.submit(spec.clone(), actual, now);
+            let b = h.r.submit(spec.clone(), actual, now);
             prop_assert_eq!(a, b, "job ids diverged");
-            submitted.push(a);
-            let (got, want) = schedule_both(c, r, *now);
+            h.submitted.push(a);
+            let (got, want) = schedule_both(h);
             prop_assert_eq!(got, want, "schedule after submit @ {:?}", now);
         }
         Op::FinishEarliest => {
-            let a = c.next_completion();
-            let b = r.next_completion();
+            let a = h.c.next_completion();
+            let b = h.r.next_completion();
             prop_assert_eq!(a, b, "next_completion diverged");
             if let Some((when, id)) = a {
-                *now = (*now).max(when);
-                prop_assert_eq!(c.finish(id, *now).is_ok(), r.finish(id, *now).is_ok());
-                let (got, want) = schedule_both(c, r, *now);
-                prop_assert_eq!(got, want, "schedule after finish @ {:?}", now);
+                h.now = now.max(when);
+                prop_assert_eq!(h.c.finish(id, h.now).is_ok(), h.r.finish(id, h.now).is_ok());
+                let (got, want) = schedule_both(h);
+                prop_assert_eq!(got, want, "schedule after finish @ {:?}", h.now);
             }
         }
         Op::Cancel { k } => {
-            if submitted.is_empty() {
+            if h.submitted.is_empty() {
                 return Ok(());
             }
-            let id = submitted[k % submitted.len()];
+            let id = h.submitted[k % h.submitted.len()];
             prop_assert_eq!(
-                c.cancel(id, *now).is_ok(),
-                r.cancel(id, *now).is_ok(),
+                h.c.cancel(id, now).is_ok(),
+                h.r.cancel(id, now).is_ok(),
                 "cancel outcome diverged for {:?}",
                 id
             );
-            let (got, want) = schedule_both(c, r, *now);
+            let (got, want) = schedule_both(h);
             prop_assert_eq!(got, want, "schedule after cancel @ {:?}", now);
         }
         Op::Advance { mins } => {
-            *now += SimTime::from_mins(*mins);
+            h.now += SimTime::from_mins(*mins);
+        }
+        Op::Sample => {
+            h.mon.sample(&h.c, now);
+            h.ref_mon.sample(h.r.nodes(), now);
+        }
+        Op::SetDown { k } | Op::Drain { k } => {
+            let id = NodeId((k % h.c.node_count()) as u32);
+            let (a, b) = (h.c.node_mut(id).unwrap(), h.r.node_mut(id).unwrap());
+            if matches!(op, Op::SetDown { .. }) {
+                a.set_down();
+                b.set_down();
+            } else {
+                a.set_draining();
+                b.set_draining();
+            }
         }
     }
+    let (c, r) = (&h.c, &h.r);
     // Cross-cutting invariants after every op.
     prop_assert_eq!(c.pending_count(), r.pending_count(), "pending diverged");
     prop_assert_eq!(
@@ -157,7 +250,7 @@ fn step(
         "idle nodes diverged"
     );
     prop_assert_eq!(c.next_completion(), r.next_completion());
-    for &id in submitted.iter() {
+    for &id in h.submitted.iter() {
         let a = c.job(id).expect("tracked");
         let b = r.job(id).expect("tracked");
         prop_assert_eq!(a.state, b.state, "state diverged for {:?}", id);
@@ -167,7 +260,8 @@ fn step(
     }
     // The terminal ledgers partition the terminal jobs (indexed side only;
     // the reference predates the cancelled ledger).
-    let terminal = submitted
+    let terminal = h
+        .submitted
         .iter()
         .filter(|id| {
             matches!(
@@ -181,7 +275,30 @@ fn step(
         terminal,
         "terminal ledgers lost or duplicated a job"
     );
+    // The utilization aggregates equal a direct scan, dirty index or not.
+    let (cores, memory, idle) = scan_aggregates(c.nodes());
+    prop_assert_eq!(c.core_usage(), cores, "core_usage diverged from the scan");
+    prop_assert_eq!(
+        c.memory_usage(),
+        memory,
+        "memory_usage diverged from the scan"
+    );
+    prop_assert_eq!(
+        c.idle_node_count(),
+        idle.len(),
+        "idle count diverged from the scan"
+    );
+    let mut listed: Vec<NodeId> = c.idle_nodes().map(|n| n.id).collect();
+    listed.sort();
+    prop_assert_eq!(listed, idle, "idle_nodes diverged from the scan");
     Ok(())
+}
+
+fn run(mut h: Lockstep, ops: &[Op]) -> Result<(), TestCaseError> {
+    for op in ops {
+        step(&mut h, op)?;
+    }
+    h.finish()
 }
 
 proptest! {
@@ -189,29 +306,44 @@ proptest! {
 
     #[test]
     fn indexed_scheduler_matches_scan_oracle(
-        ops in prop::collection::vec(arb_op(), 1..120),
+        ops in prop::collection::vec(arb_op(false), 1..120),
     ) {
-        let mut c = Cluster::new(hetero_nodes(8, 5, 3));
-        let mut r = RefCluster::new(hetero_nodes(8, 5, 3));
-        let mut now = SimTime::ZERO;
-        let mut submitted = Vec::new();
-        for op in &ops {
-            step(&mut c, &mut r, op, &mut now, &mut submitted)?;
-        }
+        run(
+            Lockstep::new(
+                Cluster::new(hetero_nodes(8, 5, 3)),
+                RefCluster::new(hetero_nodes(8, 5, 3)),
+            ),
+            &ops,
+        )?;
     }
 
     #[test]
     fn indexed_scheduler_matches_oracle_on_homogeneous_backlog(
-        ops in prop::collection::vec(arb_op(), 1..160),
+        ops in prop::collection::vec(arb_op(false), 1..160),
     ) {
         // Few nodes => deep queues => the backfill loop and tombstone
         // compaction dominate.
-        let mut c = Cluster::homogeneous(4, NodeResources::daint_mc());
-        let mut r = RefCluster::homogeneous(4, NodeResources::daint_mc());
-        let mut now = SimTime::ZERO;
-        let mut submitted = Vec::new();
-        for op in &ops {
-            step(&mut c, &mut r, op, &mut now, &mut submitted)?;
-        }
+        run(
+            Lockstep::new(
+                Cluster::homogeneous(4, NodeResources::daint_mc()),
+                RefCluster::homogeneous(4, NodeResources::daint_mc()),
+            ),
+            &ops,
+        )?;
+    }
+
+    #[test]
+    fn sampler_matches_frozen_scan_sampler(
+        ops in prop::collection::vec(arb_op(true), 1..160),
+    ) {
+        // Node ops included: samples also land while `node_mut` has left
+        // the index dirty, and on nodes that will never be idle again.
+        run(
+            Lockstep::new(
+                Cluster::new(hetero_nodes(8, 5, 3)),
+                RefCluster::new(hetero_nodes(8, 5, 3)),
+            ),
+            &ops,
+        )?;
     }
 }

@@ -11,13 +11,23 @@
 //! interleavings) and measured like-for-like by the `cluster_sched` bench
 //! (compile with `--features oracle`).
 //!
+//! [`RefMonitor`] is the scan `UtilizationMonitor` sampler that predates
+//! the incremental one: every
+//! sample scans all nodes for the core and memory aggregates and the idle
+//! count, and tracks idle runs in a `HashMap` updated per node. The
+//! incremental sampler (counters, the idle index, dense run arrays) must
+//! produce a bit-identical [`MonitorReport`] — enforced by
+//! `sampler_matches_frozen_scan_sampler` in `oracle_tests` and by the
+//! `cluster_sched` bench before it times the sampler.
+//!
 //! Do not "fix" or optimize this module: its value is being the frozen
 //! semantics the committed `ci/trace_reference.json` was generated from.
 
 use crate::job::{Job, JobId, JobSpec, JobState};
+use crate::monitor::{IdlePeriodStats, MonitorReport};
 use crate::node::{Node, NodeResources};
 use crate::scheduler::SchedulerError;
-use des::SimTime;
+use des::{Percentiles, SimTime};
 use fabric::NodeId;
 use std::collections::{HashMap, VecDeque};
 
@@ -55,6 +65,12 @@ impl RefCluster {
 
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
+    }
+
+    /// Direct node access for out-of-band state changes (marking a node
+    /// down or draining), mirroring `Cluster::node_mut`.
+    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
+        self.nodes.get_mut(id.0 as usize)
     }
 
     pub fn job(&self, id: JobId) -> Option<&Job> {
@@ -244,4 +260,152 @@ impl RefCluster {
             .filter_map(|j| j.started_at.map(|s| (s + j.actual_runtime, j.id)))
             .min()
     }
+}
+
+/// The pre-incremental utilization sampler (scan-based): the same report as
+/// [`crate::UtilizationMonitor`], from a full pass over the nodes per sample.
+pub struct RefMonitor {
+    interval: SimTime,
+    idle_cpu_pct: Vec<(f64, f64)>,
+    memory_split_pct: Vec<(f64, f64, f64, f64)>,
+    idle_nodes: Vec<usize>,
+    exact_periods: Percentiles,
+    /// consecutive idle-sample run length per node
+    idle_runs: HashMap<NodeId, u32>,
+    minimal: Percentiles,
+    maximal: Percentiles,
+}
+
+impl RefMonitor {
+    pub fn two_minute() -> Self {
+        RefMonitor {
+            interval: SimTime::from_mins(2),
+            idle_cpu_pct: Vec::new(),
+            memory_split_pct: Vec::new(),
+            idle_nodes: Vec::new(),
+            exact_periods: Percentiles::new(),
+            idle_runs: HashMap::new(),
+            minimal: Percentiles::new(),
+            maximal: Percentiles::new(),
+        }
+    }
+
+    pub fn record_exact_idle_period(&mut self, period: SimTime) {
+        self.exact_periods.push(period.as_secs_f64());
+    }
+
+    pub fn sample(&mut self, nodes: &[Node], now: SimTime) {
+        let t_days = now.as_secs_f64() / 86_400.0;
+
+        let (used_cores, total_cores) = {
+            let mut used = 0;
+            let mut total = 0;
+            for n in nodes {
+                used += u64::from(n.used().cores);
+                total += u64::from(n.capacity.cores);
+            }
+            (used, total)
+        };
+        let idle_pct = 100.0 * (total_cores - used_cores) as f64 / total_cores.max(1) as f64;
+        self.idle_cpu_pct.push((t_days, idle_pct));
+
+        let (mem_used, free_alloc, free_idle) = {
+            let mut used = 0;
+            let mut free_alloc = 0;
+            let mut free_idle = 0;
+            for n in nodes {
+                let u = n.used().memory_mb;
+                used += u;
+                if n.is_idle() {
+                    free_idle += n.capacity.memory_mb;
+                } else {
+                    free_alloc += n.capacity.memory_mb - u;
+                }
+            }
+            (used, free_alloc, free_idle)
+        };
+        let total_mem = (mem_used + free_alloc + free_idle).max(1) as f64;
+        self.memory_split_pct.push((
+            t_days,
+            100.0 * mem_used as f64 / total_mem,
+            100.0 * free_alloc as f64 / total_mem,
+            100.0 * free_idle as f64 / total_mem,
+        ));
+
+        self.idle_nodes
+            .push(nodes.iter().filter(|n| n.is_idle()).count());
+
+        // Discrete idle-period estimation: extend runs for idle nodes, close
+        // runs for nodes that stopped being idle.
+        let interval_s = self.interval.as_secs_f64();
+        for node in nodes {
+            if node.is_idle() {
+                *self.idle_runs.entry(node.id).or_insert(0) += 1;
+            } else if let Some(k) = self.idle_runs.remove(&node.id) {
+                self.close_run(k, interval_s);
+            }
+        }
+    }
+
+    fn close_run(&mut self, k: u32, interval_s: f64) {
+        debug_assert!(k > 0);
+        self.minimal.push((k.saturating_sub(1)) as f64 * interval_s);
+        self.maximal.push((k + 1) as f64 * interval_s);
+    }
+
+    pub fn finish(mut self) -> MonitorReport {
+        let interval_s = self.interval.as_secs_f64();
+        let runs: Vec<u32> = self.idle_runs.drain().map(|(_, k)| k).collect();
+        for k in runs {
+            self.close_run(k, interval_s);
+        }
+        let median_idle_nodes = {
+            let mut p = Percentiles::new();
+            for &n in &self.idle_nodes {
+                p.push(n as f64);
+            }
+            if p.is_empty() {
+                f64::NAN
+            } else {
+                p.median()
+            }
+        };
+        MonitorReport {
+            idle_cpu_pct: self.idle_cpu_pct,
+            memory_split_pct: self.memory_split_pct,
+            idle_nodes: self.idle_nodes,
+            median_idle_nodes,
+            exact: IdlePeriodStats::from_percentiles(&mut self.exact_periods),
+            minimal_estimation: IdlePeriodStats::from_percentiles(&mut self.minimal),
+            maximal_estimation: IdlePeriodStats::from_percentiles(&mut self.maximal),
+        }
+    }
+}
+
+/// Every number of a [`MonitorReport`] as raw bits (`f64::to_bits`, counts
+/// widened to `u64`), in field order: two reports are bit-identical exactly
+/// when these vectors are equal.
+pub fn report_bits(r: &MonitorReport) -> Vec<u64> {
+    let mut bits = vec![
+        r.idle_cpu_pct.len() as u64,
+        r.memory_split_pct.len() as u64,
+        r.idle_nodes.len() as u64,
+    ];
+    for &(t, v) in &r.idle_cpu_pct {
+        bits.extend([t.to_bits(), v.to_bits()]);
+    }
+    for &(t, a, b, c) in &r.memory_split_pct {
+        bits.extend([t.to_bits(), a.to_bits(), b.to_bits(), c.to_bits()]);
+    }
+    bits.extend(r.idle_nodes.iter().map(|&n| n as u64));
+    bits.push(r.median_idle_nodes.to_bits());
+    for s in [&r.exact, &r.minimal_estimation, &r.maximal_estimation] {
+        bits.extend([
+            s.events as u64,
+            s.median_min.to_bits(),
+            s.mean_min.to_bits(),
+            s.frac_below_10min.to_bits(),
+        ]);
+    }
+    bits
 }

@@ -13,7 +13,11 @@
 //! shadow time is a k-th order statistic over an incrementally-updated
 //! per-node walltime horizon, feasibility is a per-capacity-class member
 //! count, and backfill extraction tombstones its queue entry instead of
-//! shifting the `VecDeque`. Scheduling decisions are bit-identical to the
+//! shifting the `VecDeque`. The utilization queries the monitor samples
+//! (`core_usage`, `memory_usage`, `idle_node_count`, `idle_nodes`) read
+//! used-core/used-memory counters kept on allocate/release plus the idle
+//! index's per-class aggregates, so a sample costs `O(idle nodes)` rather
+//! than `O(n)`. Scheduling decisions are bit-identical to the
 //! original scan implementation, which is kept verbatim in
 //! [`crate::reference`] and enforced as an oracle by property tests and by
 //! the committed `ci/trace_reference.json` replay artifact.
@@ -78,11 +82,28 @@ pub struct Cluster {
     cancelled: Vec<JobId>,
     /// Incremental placement/backfill/feasibility indexes.
     index: SchedIndex,
+    /// Cores and memory (MB) allocated to running jobs, kept on
+    /// allocate/release and re-synced by every index rebuild. Exact while
+    /// the index is clean; the utilization queries scan instead while it is
+    /// dirty.
+    used_cores: u64,
+    used_mem: u64,
+    /// Sum of node core capacities (static).
+    total_cores: u64,
+}
+
+/// One scan's worth of the utilization aggregates.
+struct Usage {
+    used_cores: u64,
+    used_mem: u64,
+    free_alloc: u64,
+    free_idle: u64,
 }
 
 impl Cluster {
     pub fn new(nodes: Vec<Node>) -> Self {
         let index = SchedIndex::new(&nodes);
+        let total_cores = nodes.iter().map(|n| u64::from(n.capacity.cores)).sum();
         Cluster {
             nodes,
             jobs: HashMap::new(),
@@ -92,6 +113,9 @@ impl Cluster {
             completed: Vec::new(),
             cancelled: Vec::new(),
             index,
+            used_cores: 0,
+            used_mem: 0,
+            total_cores,
         }
     }
 
@@ -159,12 +183,25 @@ impl Cluster {
         self.cancelled.len()
     }
 
+    /// The idle nodes, in unspecified order: the idle index's per-class
+    /// sets while it is clean (`O(idle nodes)`), a scan of every node while
+    /// `node_mut` has left it dirty.
     pub fn idle_nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter().filter(|n| n.is_idle())
+        let dirty = self.index.is_dirty();
+        let scan = dirty.then(|| self.nodes.iter().filter(|n| n.is_idle()));
+        let indexed = (!dirty).then(|| self.index.idle_ids().map(|id| &self.nodes[id.0 as usize]));
+        scan.into_iter()
+            .flatten()
+            .chain(indexed.into_iter().flatten())
     }
 
+    /// `O(#classes)` while the index is clean, a scan while it is dirty.
     pub fn idle_node_count(&self) -> usize {
-        self.idle_nodes().count()
+        if self.index.is_dirty() {
+            self.idle_nodes().count()
+        } else {
+            self.index.idle_count()
+        }
     }
 
     /// Submit a job; returns its id. `actual_runtime` is the runtime the
@@ -195,11 +232,38 @@ impl Cluster {
         fitting >= spec.nodes as usize
     }
 
-    /// Rebuild the indexes if external node mutation invalidated them.
+    /// Rebuild the indexes, and re-sync the usage counters, if external
+    /// node mutation invalidated them.
     fn ensure_index(&mut self) {
         if self.index.is_dirty() {
             self.index.rebuild(&self.nodes, &self.jobs);
+            let usage = self.scan_usage();
+            self.used_cores = usage.used_cores;
+            self.used_mem = usage.used_mem;
         }
+    }
+
+    /// Derive the utilization aggregates from every node: the index rebuild
+    /// re-syncs the counters from it, and the queries fall back to it while
+    /// the index is dirty.
+    fn scan_usage(&self) -> Usage {
+        let mut u = Usage {
+            used_cores: 0,
+            used_mem: 0,
+            free_alloc: 0,
+            free_idle: 0,
+        };
+        for n in &self.nodes {
+            let used = n.used();
+            u.used_cores += u64::from(used.cores);
+            u.used_mem += used.memory_mb;
+            if n.is_idle() {
+                u.free_idle += n.capacity.memory_mb;
+            } else {
+                u.free_alloc += n.capacity.memory_mb - used.memory_mb;
+            }
+        }
+        u
     }
 
     fn start_job(&mut self, id: JobId, nodes: Vec<NodeId>, now: SimTime) -> Vec<SimTime> {
@@ -217,6 +281,8 @@ impl Cluster {
             }
             self.index.note_allocated(&self.nodes[i], walltime_end);
         }
+        self.used_cores += u64::from(per_node.cores) * nodes.len() as u64;
+        self.used_mem += per_node.memory_mb * nodes.len() as u64;
         // Assign by moving the vector — the allocation loop above borrowed
         // it, so one extra map lookup replaces a whole-Vec clone.
         self.jobs.get_mut(&id).expect("exists").assigned = nodes;
@@ -322,13 +388,21 @@ impl Cluster {
         }
         job.state = JobState::Completed;
         job.finished_at = Some(now);
+        let per_node = job.spec.per_node;
         let assigned = std::mem::take(&mut job.assigned);
         for nid in &assigned {
             let i = nid.0 as usize;
             if i >= self.nodes.len() {
                 continue;
             }
+            let held = self.nodes[i].job_count();
             self.nodes[i].release(id, now);
+            // Count only allocations this release removed: `node_mut` can
+            // release a job's share behind the scheduler's back.
+            if self.nodes[i].job_count() < held {
+                self.used_cores -= u64::from(per_node.cores);
+                self.used_mem -= per_node.memory_mb;
+            }
             let free_at = self.node_free_at(&self.nodes[i]);
             self.index.note_released(&self.nodes[i], free_at);
         }
@@ -375,33 +449,28 @@ impl Cluster {
             .min()
     }
 
-    /// Aggregate used/total core counts (for utilization sampling).
+    /// Aggregate used/total core counts (for utilization sampling). O(1)
+    /// while the index is clean, a scan while it is dirty.
     pub fn core_usage(&self) -> (u64, u64) {
-        let mut used = 0;
-        let mut total = 0;
-        for n in &self.nodes {
-            used += u64::from(n.used().cores);
-            total += u64::from(n.capacity.cores);
+        if self.index.is_dirty() {
+            return (self.scan_usage().used_cores, self.total_cores);
         }
-        (used, total)
+        (self.used_cores, self.total_cores)
     }
 
     /// Memory accounting split the way Fig. 1b reports it:
-    /// `(used, free_on_allocated, free_on_idle)` in MB.
+    /// `(used, free_on_allocated, free_on_idle)` in MB. `O(#classes)` while
+    /// the index is clean, a scan while it is dirty. Idle nodes hold no
+    /// allocations, so the memory free on allocated nodes is exactly
+    /// `total − free_on_idle − used`.
     pub fn memory_usage(&self) -> (u64, u64, u64) {
-        let mut used = 0;
-        let mut free_alloc = 0;
-        let mut free_idle = 0;
-        for n in &self.nodes {
-            let u = n.used().memory_mb;
-            used += u;
-            if n.is_idle() {
-                free_idle += n.capacity.memory_mb;
-            } else {
-                free_alloc += n.capacity.memory_mb - u;
-            }
+        if self.index.is_dirty() {
+            let u = self.scan_usage();
+            return (u.used_mem, u.free_alloc, u.free_idle);
         }
-        (used, free_alloc, free_idle)
+        let free_idle = self.index.idle_memory_mb();
+        let free_alloc = self.index.total_memory_mb() - free_idle - self.used_mem;
+        (self.used_mem, free_alloc, free_idle)
     }
 }
 
@@ -628,6 +697,24 @@ mod tests {
         assert_eq!(mem_used, 32 * 1024);
         assert_eq!(free_alloc, 96 * 1024);
         assert_eq!(free_idle, 128 * 1024);
+
+        // Release through `finish` and through cancelling a running job:
+        // both bring the counters back to an empty cluster.
+        let running: Vec<JobId> = c.running_jobs().map(|j| j.id).collect();
+        c.finish(running[0], SimTime::from_mins(60)).unwrap();
+        assert_eq!(c.core_usage(), (0, 72));
+        assert_eq!(c.memory_usage(), (0, 0, 256 * 1024));
+        c.submit(
+            excl(2, 60, "b"),
+            SimTime::from_mins(60),
+            SimTime::from_mins(60),
+        );
+        let (started, _) = c.try_schedule(SimTime::from_mins(60));
+        assert_eq!(c.core_usage(), (72, 72));
+        assert_eq!(c.memory_usage(), (256 * 1024, 0, 0));
+        c.cancel(started[0], SimTime::from_mins(61)).unwrap();
+        assert_eq!(c.core_usage(), (0, 72));
+        assert_eq!(c.memory_usage(), (0, 0, 256 * 1024));
     }
 
     #[test]
